@@ -20,11 +20,11 @@ from .channel import (
     ChannelRealization,
     DerivedParams,
     PowerBudget,
-    RelayGain,
     Strategy,
     db_to_linear,
     derive_params,
     gain_domain,
+    surrogate_channel,
 )
 from .converse import (
     BoundEvaluation,
@@ -62,7 +62,6 @@ from .montecarlo import (
     EnsembleConfig,
     SweepRecord,
     af_batch,
-    consumed_power_sweep,
     df_batch,
     ergodic_sweep,
     sample_channel,
@@ -81,7 +80,6 @@ __all__ = [
     "PSDViolationError",
     "PowerBudget",
     "RatioQuadraticProblem",
-    "RelayGain",
     "SecrecyResult",
     "SolverBranch",
     "Strategy",
@@ -92,7 +90,6 @@ __all__ = [
     "af_secrecy_capacity",
     "bound_objective",
     "conditional_noise_entropy",
-    "consumed_power_sweep",
     "db_to_linear",
     "derive_params",
     "df_batch",
@@ -119,5 +116,6 @@ __all__ = [
     "second_hop_secrecy_capacity",
     "select_phi",
     "source_relay_capacity",
+    "surrogate_channel",
     "x_of_lambda",
 ]

@@ -1,14 +1,17 @@
 """Achievable rate, optimal gain, and secrecy capacity for AF relaying.
 
-The per-hop mutual informations reduce to log ratios in x = |omega|^2, and
-the capacity has a three-branch closed form: zero when the eavesdropper link
-dominates, the full-power value below a saturation budget, and a constant
-above it (extra relay power would amplify noise more than signal).
+The per-hop mutual informations reduce to log ratios in x = |omega|^2. The
+optimal gain is full power below a saturation budget and the interior peak
+of the rate above it (extra relay power would amplify noise more than
+signal), so the capacity is constant beyond that budget. Both regimes are
+one expression at x_hat, evaluated by the array kernel `af_batch`; the
+scalar functions wrap it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +22,16 @@ __all__ = [
     "SecrecyResult",
     "mutual_info_destination",
     "mutual_info_eavesdropper",
+    "af_batch",
     "af_optimal_gain",
     "af_secrecy_capacity",
     "af_achievable_rate_at",
     "mutual_info_destination_mc",
     "mutual_info_eavesdropper_mc",
 ]
+
+_HALF_LOG2_E = 0.5 / math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,65 @@ def mutual_info_eavesdropper(params: DerivedParams, x: float) -> float:
     return math.log2((1.0 + b * m * x) / (1.0 + b * x))
 
 
+def _exact_lanes(fn, values, redo, *args):
+    """`values` with the lanes in `redo` recomputed as `fn(*args)` in exact
+    rational arithmetic and rounded once."""
+    # Imported here: the fallback is rare, and fractions pulls in decimal.
+    from fractions import Fraction
+
+    lanes = np.broadcast_arrays(redo, *args)
+    out = np.array(values, dtype=float)
+    out[lanes[0]] = [float(fn(*map(Fraction, map(float, vals))))
+                     for vals in zip(*(lane[lanes[0]] for lane in lanes[1:]))]
+    return out
+
+
+def _af_factors(alpha, beta, mu, consumed):
+    # f(x) - 1 = (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x) at
+    # x = consumed/mu, the first factor divided through by x.
+    return (alpha - beta) / (alpha + mu / consumed), (mu - 1) / (1 + beta * consumed)
+
+
+def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
+             p_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """AF (capacity, consumed power), lanewise over arrays or scalars.
+
+    The only AF capacity formula in the package. With x_hat = min(P_r/mu,
+    1/sqrt(alpha*beta*mu)) the capacity is
+
+        0.5*log2(1 + (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x)),
+
+    zero when alpha <= beta or mu == 1. log1p keeps small capacities at full
+    relative precision.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Consumed power mu*x_hat: the budget itself up to the saturation
+        # budget sqrt(mu/(alpha*beta)), so consumed <= p_r holds exactly.
+        # Square roots are taken factor by factor so no product overflows.
+        consumed = np.minimum(p_r, np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta))
+        # Where alpha > beta the first factor lies in [0, 1] and the second
+        # in [0, mu-1] (beta*mu*x_hat < sqrt(mu)), so neither overflows. At
+        # extreme scales the first can still leave the normal range; those
+        # lanes are redone exactly.
+        first, second = _af_factors(alpha, beta, mu, consumed)
+        gain = first * second
+        active = (alpha > beta) & (mu > 1.0)
+        redo = active & (consumed > 0.0) & ~(first >= _MIN_NORMAL)
+        if np.any(redo):
+            gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
+                                alpha, beta, mu, consumed)
+        capacity = np.where(active, np.log1p(gain) * _HALF_LOG2_E, 0.0)
+        consumed = np.where(active, consumed, 0.0)
+    return capacity, consumed
+
+
+def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult:
+    """Closed-form AF secrecy capacity with the optimal gain and consumed power."""
+    capacity, consumed = af_batch(params.alpha, params.beta, params.mu, pb.p_r)
+    consumed = float(consumed)
+    return SecrecyResult(float(capacity), consumed / params.mu, consumed, Strategy.AF)
+
+
 def af_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
     """Secrecy-optimal squared gain x_hat.
 
@@ -57,42 +123,10 @@ def af_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
     the saturation budget sqrt(mu/(alpha*beta)), and the interior peak
     1/sqrt(alpha*beta*mu) beyond it.
     """
-    a, b, m = params.alpha, params.beta, params.mu
-    if a <= b or m <= 1.0:
-        return 0.0
-    if b == 0.0:
-        # Saturation budget is infinite; full power is always optimal.
-        return pb.p_r / m
-    if pb.p_r <= math.sqrt(m / (a * b)):
-        return pb.p_r / m
-    return 1.0 / math.sqrt(a * b * m)
+    return af_secrecy_capacity(params, pb).x_hat
 
 
-def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget,
-                        half_duplex: bool = True) -> SecrecyResult:
-    """Closed-form AF secrecy capacity with the optimal gain and consumed power.
-
-    `half_duplex=False` drops the 1/2 two-slot factor; useful when comparing
-    against the raw maximized log ratio.
-    """
-    a, b, m = params.alpha, params.beta, params.mu
-    p = pb.p_r
-    if a <= b:
-        rate = 0.0
-    elif b == 0.0 or p <= math.sqrt(m / (a * b)):
-        num = a * b * p * p + (a * m + b) * p + m
-        den = a * b * p * p + (a + b * m) * p + m
-        rate = math.log2(num / den)
-    else:
-        root = 2.0 * math.sqrt(a * b * m)
-        rate = math.log2((root + a * m + b) / (root + a + b * m))
-    x_hat = af_optimal_gain(params, pb)
-    capacity = 0.5 * rate if half_duplex else rate
-    return SecrecyResult(capacity, x_hat, m * x_hat, Strategy.AF)
-
-
-def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float,
-                          half_duplex: bool = True) -> float:
+def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float) -> float:
     """Secrecy rate at a fixed feasible gain, before the positive-part clamp.
 
     May be negative (alpha <= beta); raises for x outside [0, P_r/mu].
@@ -100,8 +134,7 @@ def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float,
     x_max = gain_domain(Strategy.AF, params, pb)
     if not 0.0 <= x <= x_max:
         raise ValueError(f"gain x={x!r} outside the feasible domain [0, {x_max!r}]")
-    rate = mutual_info_destination(params, x) - mutual_info_eavesdropper(params, x)
-    return 0.5 * rate if half_duplex else rate
+    return 0.5 * (mutual_info_destination(params, x) - mutual_info_eavesdropper(params, x))
 
 
 def _mi_mc(signal_coeff: complex, noise_gain: complex, n_samples: int,

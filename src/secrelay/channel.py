@@ -17,8 +17,8 @@ __all__ = [
     "ChannelRealization",
     "DerivedParams",
     "PowerBudget",
-    "RelayGain",
     "derive_params",
+    "surrogate_channel",
     "gain_domain",
     "db_to_linear",
 ]
@@ -95,22 +95,6 @@ class DerivedParams:
             raise ValueError("mu must be at least 1 (it is 1 + first-hop SNR)")
 
 
-@dataclass(frozen=True)
-class RelayGain:
-    """Squared relay scaling factor x = |omega|^2."""
-
-    x: float
-
-    def __post_init__(self) -> None:
-        _require_finite("x", self.x)
-        if self.x < 0:
-            raise ValueError("squared gain must be nonnegative")
-
-    def feasible_for(self, strategy: Strategy, params: DerivedParams, pb: PowerBudget) -> bool:
-        """Whether this gain respects the relay peak-power constraint."""
-        return self.x <= gain_domain(strategy, params, pb)
-
-
 def derive_params(ch: ChannelRealization, pb: PowerBudget) -> DerivedParams:
     """Reduce a channel draw plus source power to (alpha, beta, mu)."""
     return DerivedParams(
@@ -118,6 +102,16 @@ def derive_params(ch: ChannelRealization, pb: PowerBudget) -> DerivedParams:
         beta=_abs2(complex(ch.h_e)),
         mu=1.0 + pb.p_s * _abs2(complex(ch.h_r)),
     )
+
+
+def surrogate_channel(params: DerivedParams) -> ChannelRealization:
+    """Real gains with squared magnitudes alpha and beta and a unit first hop.
+
+    Stands in for a channel when only (alpha, beta, mu) are known: every
+    quantity the package reports depends on the gains only through alpha,
+    beta, mu and the products that `converse.select_phi` reduces to.
+    """
+    return ChannelRealization(1.0, math.sqrt(params.alpha), math.sqrt(params.beta))
 
 
 def gain_domain(strategy: Strategy, params: DerivedParams, pb: PowerBudget) -> float:
@@ -133,6 +127,12 @@ def gain_domain(strategy: Strategy, params: DerivedParams, pb: PowerBudget) -> f
 
 
 def db_to_linear(p_db: float) -> float:
-    """Convert a dB quantity (dBW for powers) to linear scale."""
+    """Convert a dB quantity (dBW for powers) to linear scale.
+
+    Raises ValueError when the linear value does not fit in a float.
+    """
     _require_finite("p_db", p_db)
-    return 10.0 ** (p_db / 10.0)
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{p_db!r} dB overflows the float range") from None

@@ -23,6 +23,7 @@ from .channel import (
     Strategy,
     db_to_linear,
     derive_params,
+    surrogate_channel,
 )
 from .converse import genie_upper_bound
 from .df import df_secrecy_capacity
@@ -104,11 +105,7 @@ def _build_inputs(args) -> tuple[ChannelRealization, DerivedParams, PowerBudget]
         if any(v is None for v in direct):
             raise _UsageError("--alpha, --beta and --mu must be given together")
         params = DerivedParams(args.alpha, args.beta, args.mu)
-        # Surrogate gains with matching squared magnitudes; all reported
-        # quantities depend on the channel only through alpha, beta, mu.
-        ch = ChannelRealization(1.0, math.sqrt(params.alpha), math.sqrt(params.beta))
-        pb = PowerBudget(params.mu - 1.0, p_r)
-        return ch, params, pb
+        return surrogate_channel(params), params, PowerBudget(params.mu - 1.0, p_r)
     if any(v is None for v in gains):
         raise _UsageError("--hr, --hd, --he and --ps must be given together")
     p_s = db_to_linear(args.ps) if args.db else args.ps
@@ -294,6 +291,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.draws < 1:
+        raise _UsageError("--draws must be at least 1")
     seed = args.seed if args.seed is not None else _default_seed()
     fault = bool(os.environ.get(_FAULT_ENV))
     results = run_all(draws=args.draws, seed=seed, fault_inject=fault)

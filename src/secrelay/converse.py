@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .af import _cn_samples
 from .channel import ChannelRealization, DerivedParams, PowerBudget
 from .fractional import maximize_on_interval
 
@@ -226,10 +227,10 @@ def lmmse_error_variance_mc(ch: ChannelRealization, pb: PowerBudget, x: float,
     m = max(n_samples // n_batches, 1)
     vals = np.empty(n_batches)
     for k in range(n_batches):
-        x_s = _cn(rng, m)
-        z_r = _cn(rng, m)
-        z_d = _cn(rng, m)
-        w = _cn(rng, m)
+        x_s = _cn_samples(rng, m)
+        z_r = _cn_samples(rng, m)
+        z_d = _cn_samples(rng, m)
+        w = _cn_samples(rng, m)
         z_e = p * z_d + resid * w  # E[z_d * conj(z_e)] = conj(phi)
         y_d = math.sqrt(pb.p_s) * ch.h_d * omega * ch.h_r * x_s + ch.h_d * omega * z_r + z_d
         y_e = math.sqrt(pb.p_s) * ch.h_e * omega * ch.h_r * x_s + ch.h_e * omega * z_r + z_e
@@ -238,8 +239,3 @@ def lmmse_error_variance_mc(ch: ChannelRealization, pb: PowerBudget, x: float,
         cov = np.mean(y_d * np.conj(y_e))
         vals[k] = var_d - abs(cov) ** 2 / var_e
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_batches))
-
-
-def _cn(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, 2))
-    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)

@@ -3,19 +3,23 @@
 The rate is half the minimum of the first-hop capacity log2(mu) and the
 second-hop secrecy capacity at full relay power. When the second hop is the
 stronger cut the relay dials its gain down to the point where both cuts are
-equal, saving power.
+equal, saving power. The array kernel `df_batch` evaluates this; the scalar
+functions wrap it.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes
 from .channel import DerivedParams, PowerBudget, Strategy
-from .af import SecrecyResult
 
 __all__ = [
     "source_relay_capacity",
     "second_hop_secrecy_capacity",
+    "df_batch",
     "df_optimal_gain",
     "df_secrecy_capacity",
 ]
@@ -32,34 +36,51 @@ def second_hop_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> float
     return max(0.0, math.log2(ratio))
 
 
-def df_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
-    """Optimal squared gain: zero, full power, or the cut-balancing value.
+def _second_hop_gain(alpha, beta, p_r):
+    # (1+alpha*P_r)/(1+beta*P_r) - 1 divided through by P_r. It overflows
+    # only where the true value exceeds MAX, and inf is the right limit
+    # there: the first cut is then the smaller.
+    return (alpha - beta) / (beta + 1 / p_r)
 
-    The balancing branch triggers only when (1+alpha*P_r)/(1+beta*P_r) > mu,
-    which forces alpha - beta*mu > 0, so the division is safe.
+
+def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
+             p_r: float) -> tuple[np.ndarray, np.ndarray]:
+    """DF (capacity, consumed power), lanewise over arrays or scalars.
+
+    The only DF capacity formula in the package:
+    0.5*min(log2(mu), log2(1 + (alpha-beta)*P_r/(1+beta*P_r))), zero when
+    alpha <= beta. Consumed power equals the squared gain because the
+    re-encoded symbol has unit power: full power, or the cut-balancing gain
+    (mu-1)/(alpha-beta*mu) when the second hop is the stronger cut.
     """
-    a, b, m = params.alpha, params.beta, params.mu
-    if a <= b:
-        return 0.0
-    if (1.0 + a * pb.p_r) / (1.0 + b * pb.p_r) <= m:
-        return pb.p_r
-    return (m - 1.0) / (a - b * m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_r = np.asarray(p_r, dtype=float)
+        snr = _second_hop_gain(alpha, beta, p_r)
+        positive = alpha > beta
+        # Lanes where an extreme scale pushed the gain out of the normal
+        # range are redone exactly.
+        redo = positive & (p_r > 0.0) & ~(snr >= _MIN_NORMAL)
+        if np.any(redo):
+            snr = _exact_lanes(_second_hop_gain, snr, redo, alpha, beta, p_r)
+        # Half of each cut, rounded the way af_batch rounds its capacity.
+        first = 0.5 * np.log2(mu)
+        second = np.log1p(snr) * _HALF_LOG2_E
+        capacity = np.where(positive, np.minimum(first, second), 0.0)
+        gain = np.divide(mu - 1.0, alpha - beta * mu)
+        # The balancing gain lies in [0, P_r] whenever the second cut is the
+        # larger; where rounding at equal cuts pushes it out, P_r is its limit.
+        balancing = positive & (second > first) & (gain >= 0.0) & (gain <= p_r)
+        gain = np.where(balancing, gain, np.where(positive, p_r, 0.0))
+    return capacity, gain
 
 
 def df_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult:
-    """Three-branch DF secrecy capacity with gain and consumed power.
+    """DF secrecy capacity with gain and consumed power."""
+    capacity, x_hat = df_batch(params.alpha, params.beta, params.mu, pb.p_r)
+    x_hat = float(x_hat)
+    return SecrecyResult(float(capacity), x_hat, x_hat, Strategy.DF)
 
-    DF consumed power equals the squared gain directly because the re-encoded
-    symbol has unit power.
-    """
-    a, b, m = params.alpha, params.beta, params.mu
-    if a <= b:
-        capacity = 0.0
-    else:
-        ratio = (1.0 + a * pb.p_r) / (1.0 + b * pb.p_r)
-        if ratio <= m:
-            capacity = 0.5 * math.log2(ratio)
-        else:
-            capacity = 0.5 * math.log2(m)
-    x_hat = df_optimal_gain(params, pb)
-    return SecrecyResult(capacity, x_hat, x_hat, Strategy.DF)
+
+def df_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
+    """Optimal squared gain: zero, full power, or the cut-balancing value."""
+    return df_secrecy_capacity(params, pb).x_hat

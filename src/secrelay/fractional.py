@@ -13,8 +13,9 @@ parametric route: search for lambda with
 that root is the optimal ratio value and the inner argmax is the optimal
 gain. For alpha > beta and mu > 1 the root is bracketed in
 [1, n1/d1), the auxiliary quadratic F(x, lambda) is concave in x there, and
-pi is continuous and strictly decreasing, which yields both a closed form
-(`lambda_hat_closed_form`) and a safe bisection (`lambda_hat_bisection`).
+pi is continuous and strictly decreasing, which yields a safe bisection
+(`lambda_hat_bisection`). The closed form (`lambda_hat_closed_form`) is f at
+the maximizer min(x_max, 1/sqrt(a)), the point where the bisection lands.
 `grid_oracle` is an intentionally brute-force cross-check: a dense grid scan
 refined by golden-section search, independent of the parametric machinery.
 """
@@ -42,10 +43,6 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Relative threshold below which (alpha - beta*mu)^2 is treated as zero and
-# the closed form defers to bisection.
-_FALLBACK_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -183,30 +180,18 @@ _DEGENERATE_SOLUTION = LambdaSolution(1.0, 0.0, SolverBranch.DEGENERATE)
 def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
     """Closed-form root of pi and the matching maximizer.
 
-    Degenerate inputs (alpha <= beta, mu = 1, or an empty domain) collapse the
-    bracket to a point; the ratio is then maximized trivially at x = 0 with
-    value 1. When alpha = beta*mu the interior-branch discriminant algebra
-    degenerates, so the solver defers to `lambda_hat_bisection` there.
+    f rises up to the unconstrained peak 1/sqrt(quad) and falls after it, so
+    the maximizer is x_hat = min(x_max, 1/sqrt(quad)) and the root of pi is
+    f(x_hat). Degenerate inputs (alpha <= beta, mu = 1, or an empty domain)
+    collapse the bracket to a point; the ratio is then maximized trivially at
+    x = 0 with value 1.
     """
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    a, x = prob.quad, prob.x_max
-    x_crit = 1.0 / math.sqrt(a) if a > 0.0 else math.inf
-    if x <= x_crit:
-        # Constrained peak sits at the right edge; the root of the linear
-        # branch of pi is exactly f(x_max).
-        return LambdaSolution(eval_f(prob, x), x, SolverBranch.ENDPOINT)
-    diff = prob.alpha - prob.beta * prob.mu
-    if abs(diff) < _FALLBACK_REL_TOL * max(prob.alpha, prob.beta * prob.mu):
-        return lambda_hat_bisection(prob)
-    n1, d1 = prob.num_lin, prob.den_lin
-    two_bb = 2.0 * d1 * n1
-    delta = (8.0 * a - two_bb) ** 2 - 4.0 * diff * diff * (prob.alpha * prob.mu - prob.beta) ** 2
-    delta = max(delta, 0.0)
-    # Smaller root of diff^2*l^2 + (8a - 2*n1*d1)*l + (alpha*mu - beta)^2 = 0,
-    # in the cancellation-free arrangement (2*n1*d1 - 8a > 0 on this branch).
-    lam = 2.0 * (prob.alpha * prob.mu - prob.beta) ** 2 / (two_bb - 8.0 * a + math.sqrt(delta))
-    return LambdaSolution(lam, x_crit, SolverBranch.INTERIOR)
+    x_crit = 1.0 / math.sqrt(prob.quad) if prob.quad > 0.0 else math.inf
+    if prob.x_max <= x_crit:
+        return LambdaSolution(eval_f(prob, prob.x_max), prob.x_max, SolverBranch.ENDPOINT)
+    return LambdaSolution(eval_f(prob, x_crit), x_crit, SolverBranch.INTERIOR)
 
 
 def lambda_hat_bisection(prob: RatioQuadraticProblem, tol: float = 1e-12) -> LambdaSolution:

@@ -19,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .af import af_batch
 from .channel import ChannelRealization, Strategy, db_to_linear
+from .df import df_batch
 
 __all__ = [
     "EnsembleConfig",
     "SweepRecord",
     "sample_channel",
     "ergodic_sweep",
-    "consumed_power_sweep",
     "af_batch",
     "df_batch",
 ]
@@ -105,45 +106,6 @@ def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelReal
     return ChannelRealization(complex(h_r), complex(h_d), complex(h_e))
 
 
-def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
-             p_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized AF (capacity, consumed power) over parameter arrays.
-
-    Same branch structure as `af.af_secrecy_capacity`, evaluated lanewise.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ab = alpha * beta
-        threshold = np.sqrt(mu / ab)  # inf where ab == 0
-        saturated = p_r > threshold
-        num = ab * p_r * p_r + (alpha * mu + beta) * p_r + mu
-        den = ab * p_r * p_r + (alpha + beta * mu) * p_r + mu
-        cap_full = 0.5 * np.log2(num / den)
-        root = 2.0 * np.sqrt(ab * mu)
-        cap_sat = 0.5 * np.log2((root + alpha * mu + beta) / (root + alpha + beta * mu))
-        capacity = np.where(alpha > beta, np.where(saturated, cap_sat, cap_full), 0.0)
-        active = (alpha > beta) & (mu > 1.0)
-        x_hat = np.where(
-            active, np.where(saturated, 1.0 / np.sqrt(ab * mu), p_r / mu), 0.0
-        )
-    return capacity, mu * x_hat
-
-
-def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
-             p_r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized DF (capacity, consumed power) over parameter arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (1.0 + alpha * p_r) / (1.0 + beta * p_r)
-        positive = alpha > beta
-        balancing = positive & (ratio > mu)
-        capacity = np.where(
-            positive, 0.5 * np.where(balancing, np.log2(mu), np.log2(ratio)), 0.0
-        )
-        x_hat = np.where(
-            positive, np.where(balancing, (mu - 1.0) / (alpha - beta * mu), p_r), 0.0
-        )
-    return capacity, x_hat
-
-
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 
 
@@ -189,7 +151,3 @@ def ergodic_sweep(cfg: EnsembleConfig) -> list[SweepRecord]:
             )
     return records
 
-
-def consumed_power_sweep(cfg: EnsembleConfig) -> list[SweepRecord]:
-    """Consumed-power view of the sweep; same engine, records carry both metrics."""
-    return ergodic_sweep(cfg)

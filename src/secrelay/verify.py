@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .af import af_achievable_rate_at, af_secrecy_capacity
-from .channel import ChannelRealization, DerivedParams, PowerBudget
+from .channel import DerivedParams, PowerBudget, surrogate_channel
 from .converse import (
     NoiseCorrelation,
     bound_objective,
@@ -25,7 +25,6 @@ from .converse import (
 from .df import df_secrecy_capacity, second_hop_secrecy_capacity, source_relay_capacity
 from .fractional import (
     RatioQuadraticProblem,
-    SolverBranch,
     eval_f,
     grid_oracle,
     lambda_hat_bisection,
@@ -43,16 +42,22 @@ class SuiteResult:
     name: str
     residuals: dict[str, float]
     tolerances: dict[str, float]
+    evaluated: int
 
     @property
     def passed(self) -> bool:
-        return all(self.residuals[k] <= self.tolerances[k] for k in self.residuals)
+        # A suite that evaluated no draw has checked nothing.
+        return self.evaluated > 0 and all(
+            self.residuals[k] <= self.tolerances[k] for k in self.residuals
+        )
 
     def summary(self) -> str:
         parts = [
             f"{k}={self.residuals[k]:.3e} (tol {self.tolerances[k]:.0e})"
             for k in self.residuals
         ]
+        if self.evaluated == 0:
+            parts.append("no draw evaluated")
         return "; ".join(parts)
 
 
@@ -63,13 +68,6 @@ def draw_parameters(rng: np.random.Generator, n: int):
     mu = rng.uniform(1.0, 20.0, n)
     p_r = rng.uniform(0.0, 50.0, n)
     return alpha, beta, mu, p_r
-
-
-def _surrogate_channel(alpha: float, beta: float) -> ChannelRealization:
-    # Real gains with the right squared magnitudes; every quantity checked
-    # here depends on the gains only through alpha, beta and the products
-    # that select_phi reduces to.
-    return ChannelRealization(1.0, math.sqrt(alpha), math.sqrt(beta))
 
 
 def solver_vs_oracle(draws: int, rng: np.random.Generator,
@@ -90,6 +88,7 @@ def solver_vs_oracle(draws: int, rng: np.random.Generator,
         "solver_vs_oracle",
         {"capacity_gap": worst_cap, "argmax_gap": worst_x},
         {"capacity_gap": 1e-6, "argmax_gap": 1e-6},
+        draws,
     )
 
 
@@ -100,31 +99,19 @@ def solver_consistency(draws: int, rng: np.random.Generator) -> SuiteResult:
     pi_res = 0.0
     ratio_gap = 0.0
     agreement = 0.0
-    continuity = 0.0
+    evaluated = 0
     for a, b, m, p in zip(alpha, beta, mu, p_r):
         if a <= b or m <= 1.0 or p <= 0.0:
             continue
+        evaluated += 1
         prob = RatioQuadraticProblem(a, b, m, p / m)
         upper = prob.num_lin / prob.den_lin
-        for sol in (lambda_hat_closed_form(prob), lambda_hat_bisection(prob)):
+        closed, bisected = lambda_hat_closed_form(prob), lambda_hat_bisection(prob)
+        for sol in (closed, bisected):
             bracket_excess = max(bracket_excess, 1.0 - sol.lambda_hat, sol.lambda_hat - upper)
             pi_res = max(pi_res, abs(pi_of_lambda(prob, sol.lambda_hat)))
             ratio_gap = max(ratio_gap, abs(eval_f(prob, sol.x_hat) - sol.lambda_hat))
-        agreement = max(
-            agreement,
-            abs(lambda_hat_closed_form(prob).lambda_hat - lambda_hat_bisection(prob).lambda_hat),
-        )
-        # Continuity across the branch switch: pin the domain edge at the
-        # unconstrained peak and compare both closed-form expressions.
-        quad = a * b * m
-        edge = RatioQuadraticProblem(a, b, m, 1.0 / math.sqrt(quad))
-        lam_endpoint = eval_f(edge, edge.x_max)
-        two_bb = 2.0 * edge.den_lin * edge.num_lin
-        delta = max(
-            (8.0 * quad - two_bb) ** 2 - 4.0 * (a - b * m) ** 2 * (a * m - b) ** 2, 0.0
-        )
-        lam_interior = 2.0 * (a * m - b) ** 2 / (two_bb - 8.0 * quad + math.sqrt(delta))
-        continuity = max(continuity, abs(lam_endpoint - lam_interior))
+        agreement = max(agreement, abs(closed.lambda_hat - bisected.lambda_hat))
     return SuiteResult(
         "solver_consistency",
         {
@@ -132,15 +119,14 @@ def solver_consistency(draws: int, rng: np.random.Generator) -> SuiteResult:
             "pi_residual": pi_res,
             "ratio_gap": ratio_gap,
             "solver_agreement": agreement,
-            "branch_continuity": continuity,
         },
         {
             "bracket_excess": 0.0,
             "pi_residual": 1e-9,
             "ratio_gap": 1e-9,
             "solver_agreement": 1e-9,
-            "branch_continuity": 1e-9,
         },
+        evaluated,
     )
 
 
@@ -154,7 +140,7 @@ def converse_tightness(draws: int, rng: np.random.Generator,
     for a, b, m, p in zip(alpha, beta, mu, p_r):
         params = DerivedParams(a, b, m)
         pb = PowerBudget(1.0, p)
-        ch = _surrogate_channel(a, b)
+        ch = surrogate_channel(params)
         bound = genie_upper_bound(ch, params, pb, n_points=n_points)
         cap = af_secrecy_capacity(params, pb).capacity
         if a <= b:
@@ -174,6 +160,7 @@ def converse_tightness(draws: int, rng: np.random.Generator,
         "converse_tightness",
         {"tightness": tight, "zero_case": zero_case, "dominance_violation": dominance},
         {"tightness": 1e-9, "zero_case": 0.0, "dominance_violation": 1e-9},
+        draws,
     )
 
 
@@ -192,7 +179,7 @@ def ratio_identity(draws: int, rng: np.random.Generator) -> SuiteResult:
         worst = max(worst, gain_ratio_identity_residual(params, x) / abs(lhs))
         count += 1
     return SuiteResult(
-        "ratio_identity", {"relative_residual": worst}, {"relative_residual": 1e-12}
+        "ratio_identity", {"relative_residual": worst}, {"relative_residual": 1e-12}, count
     )
 
 
@@ -217,6 +204,7 @@ def df_properties(draws: int, rng: np.random.Generator) -> SuiteResult:
         "df_properties",
         {"min_cut_gap": min_cut, "power_saving_gap": power_saving, "af_exceeds_df": dominance},
         {"min_cut_gap": 1e-12, "power_saving_gap": 1e-12, "af_exceeds_df": 1e-12},
+        draws,
     )
 
 

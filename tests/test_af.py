@@ -95,11 +95,6 @@ class TestSecrecyCapacity:
         assert res.consumed_power == pytest.approx(math.sqrt(0.5), abs=1e-14)
         assert res.consumed_power < 10.0
 
-    def test_half_duplex_flag(self):
-        full = af_secrecy_capacity(PARAMS, PowerBudget(1.0, 0.5), half_duplex=False)
-        half = af_secrecy_capacity(PARAMS, PowerBudget(1.0, 0.5))
-        assert full.capacity == pytest.approx(2.0 * half.capacity, rel=1e-15)
-
     def test_matches_parametric_solver(self):
         rng = np.random.default_rng(200)
         for _ in range(300):

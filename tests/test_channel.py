@@ -8,7 +8,6 @@ from secrelay.channel import (
     ChannelRealization,
     DerivedParams,
     PowerBudget,
-    RelayGain,
     Strategy,
     db_to_linear,
     derive_params,
@@ -55,8 +54,6 @@ def test_params_invariants_enforced():
         DerivedParams(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         PowerBudget(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        RelayGain(-0.1)
 
 
 def test_gain_domain_branches():
@@ -64,14 +61,6 @@ def test_gain_domain_branches():
     assert gain_domain(Strategy.AF, params, PowerBudget(1.0, 0.5)) == 0.25
     assert gain_domain(Strategy.DF, params, PowerBudget(1.0, 0.5)) == 0.5
     assert gain_domain(Strategy.AF, params, PowerBudget(1.0, 0.0)) == 0.0
-
-
-def test_relay_gain_feasibility():
-    params = DerivedParams(4.0, 1.0, 2.0)
-    pb = PowerBudget(1.0, 0.5)
-    assert RelayGain(0.25).feasible_for(Strategy.AF, params, pb)
-    assert not RelayGain(0.26).feasible_for(Strategy.AF, params, pb)
-    assert RelayGain(0.5).feasible_for(Strategy.DF, params, pb)
 
 
 def test_db_to_linear_anchors():

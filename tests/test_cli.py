@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from secrelay.cli import main
+from secrelay.verify import solver_consistency
 
 MC_SMALL = [
     "montecarlo",
@@ -80,6 +82,15 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--strategy", "af", "--pr", "0.5")
         assert code == 1
 
+    def test_huge_db_value_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "compute", "--strategy", "af",
+            "--alpha", "2", "--beta", "1", "--mu", "3", "--pr", "5000", "--db",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "5000" in err
+
     def test_invalid_params_usage_error(self, capsys):
         code, _, err = run(
             capsys, "compute", "--strategy", "af",
@@ -154,6 +165,12 @@ class TestMonteCarlo:
         code, _, err = run(capsys, "montecarlo", "--n-samples", "0", "--pr-points", "2")
         assert code == 1
 
+    def test_huge_source_power_usage_error(self, capsys):
+        code, out, err = run(capsys, *MC_SMALL, "--ps-dbw", "4000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "4000" in err
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -216,6 +233,19 @@ class TestVerify:
         assert "seed   3" in out
         assert out.count("PASS") >= 5
         assert "RESULT: PASS" in out
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_nonpositive_draws_rejected(self, capsys, draws):
+        code, out, err = run(capsys, "verify", "--draws", draws, "--seed", "3")
+        assert code == 1
+        assert "PASS" not in out
+        assert "draws" in err
+
+    def test_suite_without_evaluated_draws_fails(self):
+        res = solver_consistency(0, np.random.default_rng(3))
+        assert res.evaluated == 0
+        assert not res.passed
+        assert "no draw evaluated" in res.summary()
 
     def test_fault_injection_trips_gate(self, capsys, monkeypatch):
         monkeypatch.setenv("SECRELAY_FAULT_INJECT", "1")

@@ -202,7 +202,9 @@ class TestSolvers:
         assert eval_f(prob, sol.x_hat) == pytest.approx(1.0, abs=1e-8)
 
     def test_fallback_when_alpha_equals_beta_mu(self):
-        # alpha = beta*mu exactly; interior branch taken since x_max > 1/sqrt(quad).
+        # alpha = beta*mu exactly, where the quadratic in lambda that pi = 0
+        # reduces to on the interior branch loses its leading term
+        # (alpha - beta*mu)^2; interior branch taken since x_max > 1/sqrt(quad).
         prob = RatioQuadraticProblem(2.0, 1.0, 2.0, 1.0)
         sol = lambda_hat_closed_form(prob)
         assert abs(pi_of_lambda(prob, sol.lambda_hat)) <= 1e-9
@@ -215,8 +217,8 @@ class TestSolvers:
             lambda_hat_bisection(PROB_SMALL, tol=0.0)
 
     def test_interior_root_equals_reduced_ratio(self):
-        # The interior root collapses to (n1 + 2*sqrt(a)) / (d1 + 2*sqrt(a));
-        # checks the discriminant algebra end to end.
+        # The interior root collapses to (n1 + 2*sqrt(a)) / (d1 + 2*sqrt(a)),
+        # the value of f at its peak 1/sqrt(a).
         rng = np.random.default_rng(15)
         for _ in range(N_DRAWS):
             prob = random_problem(rng)

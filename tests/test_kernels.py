@@ -1,0 +1,199 @@
+"""Range, overflow and precision tests of the AF and DF capacity kernels.
+
+`af.af_batch` and `df.df_batch` are the only capacity formulas; the scalar
+functions and the Monte Carlo sweep call them. The properties run over the
+full finite float range; the precision tests compare with a 50-digit
+`decimal` evaluation of the paper's formulas.
+"""
+
+import math
+import sys
+from decimal import Decimal, localcontext
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from secrelay import af, df, montecarlo
+from secrelay.af import af_batch, af_optimal_gain, af_secrecy_capacity
+from secrelay.channel import DerivedParams, PowerBudget, Strategy
+from secrelay.df import df_batch, df_optimal_gain, df_secrecy_capacity
+from secrelay.fractional import RatioQuadraticProblem, lambda_hat_closed_form
+
+MAX = sys.float_info.max
+REL_TOL = 1e-14
+
+nonneg = st.floats(min_value=0.0, max_value=MAX, allow_nan=False, allow_infinity=False)
+mu_values = st.floats(min_value=1.0, max_value=MAX, allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=1500, deadline=None, derandomize=True)
+
+
+def _decimals(*values):
+    return (Decimal(float(v)) for v in values)
+
+
+def _ln1p(y):
+    # ln(1 + y) without forming 1 + y, which 50 digits cannot hold for tiny y.
+    return y - y * y / 2 + y ** 3 / 3 if y < Decimal("1e-12") else (1 + y).ln()
+
+
+def ref_af(alpha, beta, mu, p_r):
+    """0.5*log2 f(x_hat) from the quadratics themselves, at 50 digits.
+
+    f - 1 is (num - den)/den, where num - den = (n1 - d1)*x because the
+    quadratic and constant terms are shared.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, m, p = _decimals(alpha, beta, mu, p_r)
+        if a <= b or m == 1 or p == 0:
+            return 0.0
+        x = p / m if b == 0 else min(p / m, 1 / (a * b * m).sqrt())
+        n1, d1 = a * m + b, a + b * m
+        den = a * b * m * x * x + d1 * x + 1
+        return float(_ln1p((n1 - d1) * x / den) / (2 * Decimal(2).ln()))
+
+
+def ref_df(alpha, beta, mu, p_r):
+    """Half the smaller cut, log2(mu) or log2((1+alpha*P_r)/(1+beta*P_r)), at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, m, p = _decimals(alpha, beta, mu, p_r)
+        if a <= b:
+            return 0.0
+        second = _ln1p((a * p - b * p) / (1 + b * p))
+        return float(min(m.ln(), second) / (2 * Decimal(2).ln()))
+
+
+def within_ulps(lower, upper, ulps):
+    """lower <= upper up to `ulps` units in the last place of upper.
+
+    C_AF <= C_DF <= 0.5*log2(mu) hold exactly in real arithmetic, but the
+    three values are rounded by different routes: log1p of the AF gain,
+    log2(mu) and log1p of the second-hop gain in numpy, log2 of the C
+    library here. Where two of them coincide -- AF saturating at the first
+    cut, or the AF penalty factors rounding to 1 at extreme scales -- each
+    rounds on its own; scans of the full float range found C_AF up to 3 ulp
+    above C_DF. For normal values 4 ulp is at most 4*eps relative; below the
+    normal range the spacing of floats is absolute, and so is the slack.
+    """
+    return lower <= upper + ulps * math.ulp(upper)
+
+
+def check_invariants(alpha, beta, mu, p_r, c_af, con_af, c_df, con_df):
+    for value in (c_af, con_af, c_df, con_df):
+        assert math.isfinite(value)
+    assert 0.0 <= con_af <= p_r
+    assert 0.0 <= con_df <= p_r
+    assert c_af >= 0.0 and within_ulps(c_af, c_df, 4)
+    assert c_df >= 0.0 and within_ulps(c_df, 0.5 * math.log2(mu), 1)
+
+
+@PROPERTY
+@given(nonneg, nonneg, mu_values, nonneg)
+def test_scalar_range_invariants(alpha, beta, mu, p_r):
+    params, pb = DerivedParams(alpha, beta, mu), PowerBudget(0.0, p_r)
+    a, d = af_secrecy_capacity(params, pb), df_secrecy_capacity(params, pb)
+    check_invariants(alpha, beta, mu, p_r, a.capacity, a.consumed_power,
+                     d.capacity, d.consumed_power)
+    assert 0.0 <= a.x_hat <= p_r / mu
+    assert d.x_hat == d.consumed_power
+
+
+@PROPERTY
+@given(st.lists(st.tuples(nonneg, nonneg, mu_values), min_size=1, max_size=16), nonneg)
+def test_batch_range_invariants(lanes, p_r):
+    alpha, beta, mu = (np.array(col) for col in zip(*lanes))
+    c_af, con_af = af_batch(alpha, beta, mu, p_r)
+    c_df, con_df = df_batch(alpha, beta, mu, p_r)
+    for i in range(len(lanes)):
+        check_invariants(alpha[i], beta[i], mu[i], p_r, c_af[i], con_af[i], c_df[i], con_df[i])
+
+
+OVERFLOW_CASES = [
+    (1e200, 1e-200, 1e200, 1e200),
+    (2.0, 1.0, 1e308, 1e308),
+    (5.0, 0.0, 3.0, 1e308),
+    (MAX, 0.0, MAX, MAX),
+    (5e-324, 0.0, 1.5, 5e-324),
+    # Cases the float evaluation loses and the exact fallback recovers:
+    (MAX, MAX / 2, 2.0, MAX),          # alpha + 1/x_hat overflows
+    (1e300, 0.0, 1e300, 1e-10),        # x_hat = 1e-310 underflows; C_AF ~ 482 bits
+    (2.0, 1.0, 1e90, 1e-148),          # first AF factor underflows, second ~1e90
+    (MAX, MAX / 2, 2.0, 1e-308),       # beta + 1/p_r overflows in DF
+]
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_overflow_regressions(case):
+    params, pb = DerivedParams(*case[:3]), PowerBudget(0.0, case[3])
+    a, d = af_secrecy_capacity(params, pb), df_secrecy_capacity(params, pb)
+    check_invariants(*case, a.capacity, a.consumed_power, d.capacity, d.consumed_power)
+    assert a.capacity == pytest.approx(ref_af(*case), rel=REL_TOL, abs=1e-300)
+    assert d.capacity == pytest.approx(ref_df(*case), rel=REL_TOL, abs=1e-300)
+
+
+def test_gains_at_huge_budget():
+    # Second cut log2(2) is far below the first, so DF spends the full budget.
+    assert df_optimal_gain(DerivedParams(2.0, 1.0, 1e308), PowerBudget(0.0, 1e308)) == 1e308
+    assert af_optimal_gain(DerivedParams(2.0, 1.0, 1e308), PowerBudget(0.0, 1e308)) > 0.0
+
+
+PRECISION_CASES = [
+    (1.0 + 1e-12, 1.0, 5.0, 3.0),        # alpha - beta ~ 1e-12, full power
+    (1.0 + 1e-12, 1.0, 5.0, 100.0),      # alpha - beta ~ 1e-12, saturated
+    (3.0, 3.0 - 1e-12, 2.0, 40.0),
+    (2.0, 1.0, 1.0 + 2.0**-40, 5.0),     # mu near 1
+    (2.0, 1.0, 1.0 + 1e-12, 0.3),
+    (3.0, 0.5, 1.0 + 1e-7, 100.0),
+    (4.0, 0.0, 1.0 + 1e-15, 7.0),
+    (4.0, 1.0, 2.0, 1e-12),              # small budget
+]
+
+
+@pytest.mark.parametrize("case", PRECISION_CASES)
+def test_small_capacities_keep_relative_precision(case):
+    params, pb = DerivedParams(*case[:3]), PowerBudget(0.0, case[3])
+    c_af = af_secrecy_capacity(params, pb).capacity
+    c_df = df_secrecy_capacity(params, pb).capacity
+    assert 0.0 < c_af < 1e-6
+    assert c_af == pytest.approx(ref_af(*case), rel=REL_TOL, abs=0.0)
+    assert c_df == pytest.approx(ref_df(*case), rel=REL_TOL, abs=0.0)
+
+
+def test_random_draws_match_reference():
+    rng = np.random.default_rng(40)
+    n = 400
+    alpha, beta = rng.exponential(1.0, n), rng.exponential(1.0, n)
+    mu, p_r = rng.uniform(1.0, 20.0, n), rng.uniform(0.0, 50.0, n)
+    for i in range(n):
+        case = (alpha[i], beta[i], mu[i], p_r[i])
+        params, pb = DerivedParams(*case[:3]), PowerBudget(0.0, case[3])
+        assert af_secrecy_capacity(params, pb).capacity == pytest.approx(
+            ref_af(*case), rel=REL_TOL, abs=0.0)
+        assert df_secrecy_capacity(params, pb).capacity == pytest.approx(
+            ref_df(*case), rel=REL_TOL, abs=0.0)
+        if alpha[i] > beta[i] and p_r[i] > 0.0:
+            prob = RatioQuadraticProblem(*case[:3], p_r[i] / mu[i])
+            lam = lambda_hat_closed_form(prob).lambda_hat
+            assert lam == pytest.approx(2.0 ** (2.0 * ref_af(*case)), rel=REL_TOL)
+
+
+def test_consumed_never_exceeds_budget_exactly():
+    # On full-power lanes mu*(p_r/mu) can round 1 ulp above p_r; the AF
+    # kernel must return p_r itself there.
+    rng = np.random.default_rng(41)
+    n = 20_000
+    alpha, beta = rng.exponential(1.0, n), rng.exponential(1.0, n)
+    mu, p_r = rng.uniform(1.0, 20.0, n), rng.uniform(0.0, 50.0, n)
+    for kernel in (af_batch, df_batch):
+        _, consumed = kernel(alpha, beta, mu, p_r)
+        assert np.all(consumed >= 0.0) and np.all(consumed <= p_r)
+
+
+def test_montecarlo_runs_the_same_kernels():
+    assert montecarlo.af_batch is af.af_batch
+    assert montecarlo.df_batch is df.df_batch
+    assert montecarlo._KERNELS == {Strategy.AF: af.af_batch, Strategy.DF: df.df_batch}
+    assert [k.__name__ for k in montecarlo._KERNELS.values()] == ["af_batch", "df_batch"]

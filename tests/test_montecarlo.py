@@ -9,7 +9,6 @@ from secrelay.df import df_secrecy_capacity
 from secrelay.montecarlo import (
     EnsembleConfig,
     af_batch,
-    consumed_power_sweep,
     df_batch,
     ergodic_sweep,
     sample_channel,
@@ -154,10 +153,6 @@ class TestSweep:
             at(ergodic_sweep(EnsembleConfig(var_hd=v, **base)), 8.0) for v in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(b > a for a, b in zip(caps, caps[1:]))
-
-    def test_consumed_power_sweep_same_records(self):
-        cfg = EnsembleConfig(**SMALL)
-        assert consumed_power_sweep(cfg) == ergodic_sweep(cfg)
 
     def test_strategy_subset(self):
         cfg = EnsembleConfig(strategies=(Strategy.DF,), **SMALL)

@@ -23,6 +23,7 @@ __all__ = [
     "mutual_info_destination",
     "mutual_info_eavesdropper",
     "af_batch",
+    "af_saturation_budget",
     "af_optimal_gain",
     "af_secrecy_capacity",
     "af_achievable_rate_at",
@@ -76,6 +77,16 @@ def _af_factors(alpha, beta, mu, consumed):
     return (alpha - beta) / (alpha + mu / consumed), (mu - 1) / (1 + beta * consumed)
 
 
+def af_saturation_budget(alpha, beta, mu):
+    """Relay budget sqrt(mu/(alpha*beta)) beyond which the AF capacity and
+    consumed power are constant; inf when beta == 0.
+
+    Square roots are taken factor by factor so no product overflows. The
+    caller silences the division warning at beta == 0.
+    """
+    return np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta)
+
+
 def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
              p_r: float) -> tuple[np.ndarray, np.ndarray]:
     """AF (capacity, consumed power), lanewise over arrays or scalars.
@@ -90,9 +101,8 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Consumed power mu*x_hat: the budget itself up to the saturation
-        # budget sqrt(mu/(alpha*beta)), so consumed <= p_r holds exactly.
-        # Square roots are taken factor by factor so no product overflows.
-        consumed = np.minimum(p_r, np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta))
+        # budget, so consumed <= p_r holds exactly.
+        consumed = np.minimum(p_r, af_saturation_budget(alpha, beta, mu))
         # Where alpha > beta the first factor lies in [0, 1] and the second
         # in [0, mu-1] (beta*mu*x_hat < sqrt(mu)), so neither overflows. At
         # extreme scales the first can still leave the normal range; those

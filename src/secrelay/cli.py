@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
+# Most budget points one `sweep` evaluates; bounds its run time and memory.
+MAX_SWEEP_POINTS = 100_000
+
 _SEED_ENV = "SECRELAY_SEED"
 _FAULT_ENV = "SECRELAY_FAULT_INJECT"
 
@@ -62,9 +65,12 @@ def _fmt(value) -> str:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output file {path!r}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -143,12 +149,20 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag in ("pr_start", "pr_stop", "pr_step"):
+        if not math.isfinite(getattr(args, flag)):
+            raise _UsageError(f"--{flag.replace('_', '-')} must be finite")
     if args.pr_step <= 0:
         raise _UsageError("--pr-step must be positive")
     if args.pr_stop < args.pr_start:
         raise _UsageError("--pr-stop must not be below --pr-start")
     params = DerivedParams(args.alpha, args.beta, args.mu)
-    count = int(math.floor((args.pr_stop - args.pr_start) / args.pr_step + 1e-9)) + 1
+    # The span can overflow to inf; the comparison rejects that too.
+    steps = (args.pr_stop - args.pr_start) / args.pr_step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise _UsageError(f"the budget grid would exceed {MAX_SWEEP_POINTS} points; "
+                          "raise --pr-step or narrow --pr-start..--pr-stop")
+    count = int(math.floor(steps)) + 1
     grid = [args.pr_start + i * args.pr_step for i in range(count)]
     strategies = (
         [Strategy.AF, Strategy.DF] if args.strategy == "both" else [Strategy(args.strategy)]
@@ -324,7 +338,8 @@ def _build_parser() -> _Parser:
     compute.add_argument("--out", help="output path (default stdout)")
     compute.set_defaults(func=_cmd_compute)
 
-    sweep = sub.add_parser("sweep", help="capacity vs budget for a fixed channel")
+    sweep = sub.add_parser(
+        "sweep", help=f"capacity vs budget for a fixed channel, at most {MAX_SWEEP_POINTS} budgets")
     sweep.add_argument("--strategy", choices=["af", "df", "both"], default="both")
     sweep.add_argument("--alpha", type=float, required=True)
     sweep.add_argument("--beta", type=float, required=True)

@@ -20,6 +20,7 @@ __all__ = [
     "source_relay_capacity",
     "second_hop_secrecy_capacity",
     "df_batch",
+    "df_balancing_gain",
     "df_optimal_gain",
     "df_secrecy_capacity",
 ]
@@ -31,9 +32,19 @@ def source_relay_capacity(params: DerivedParams) -> float:
 
 
 def second_hop_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> float:
-    """Second-hop secrecy capacity at full relay power, clamped at zero."""
-    ratio = (1.0 + params.alpha * pb.p_r) / (1.0 + params.beta * pb.p_r)
-    return max(0.0, math.log2(ratio))
+    """Second-hop secrecy capacity at full relay power, clamped at zero.
+
+    log2((1+alpha*P_r)/(1+beta*P_r)) as a ratio, written independently of
+    `df_batch` so that it can check it. Above P_r = 1 numerator and
+    denominator are divided by P_r so neither overflows; where the ratio
+    itself would, the two logs are subtracted instead.
+    """
+    a, b, p = params.alpha, params.beta, pb.p_r
+    num, den = (1.0 / p + a, 1.0 / p + b) if p > 1.0 else (1.0 + a * p, 1.0 + b * p)
+    if not num > den:
+        return 0.0
+    ratio = num / den
+    return math.log2(ratio) if math.isfinite(ratio) else math.log2(num) - math.log2(den)
 
 
 def _second_hop_gain(alpha, beta, p_r):
@@ -41,6 +52,17 @@ def _second_hop_gain(alpha, beta, p_r):
     # only where the true value exceeds MAX, and inf is the right limit
     # there: the first cut is then the smaller.
     return (alpha - beta) / (beta + 1 / p_r)
+
+
+def df_balancing_gain(alpha, beta, mu):
+    """Cut-balancing gain (mu-1)/(alpha-beta*mu), the relay power beyond which
+    the DF capacity and consumed power are constant; inf where it is negative
+    or undefined, since there the second hop never outgrows the first.
+
+    The caller silences the division warnings.
+    """
+    gain = np.divide(mu - 1.0, alpha - beta * mu)
+    return np.where(gain >= 0.0, gain, np.inf)
 
 
 def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
@@ -66,10 +88,10 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
         first = 0.5 * np.log2(mu)
         second = np.log1p(snr) * _HALF_LOG2_E
         capacity = np.where(positive, np.minimum(first, second), 0.0)
-        gain = np.divide(mu - 1.0, alpha - beta * mu)
+        gain = df_balancing_gain(alpha, beta, mu)
         # The balancing gain lies in [0, P_r] whenever the second cut is the
         # larger; where rounding at equal cuts pushes it out, P_r is its limit.
-        balancing = positive & (second > first) & (gain >= 0.0) & (gain <= p_r)
+        balancing = positive & (second > first) & (gain <= p_r)
         gain = np.where(balancing, gain, np.where(positive, p_r, 0.0))
     return capacity, gain
 

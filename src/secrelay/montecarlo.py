@@ -7,9 +7,12 @@ random numbers), which slashes comparison variance and makes the DF-beats-AF
 ordering hold sample by sample.
 
 Randomness comes from numpy's default PCG64 generator seeded with the 64-bit
-config seed; samples are drawn as a single (n, 6) standard-normal block in C
+config seed. Samples are drawn in chunks of _CHUNK rows of six standard
+normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
-implementation.
+implementation. A sweep holds one chunk at a time, so its memory does not
+grow with the sample count, and evaluates the kernels only on samples whose
+output still depends on the budget.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .af import af_batch
+from .af import af_batch, af_saturation_budget
 from .channel import ChannelRealization, Strategy, db_to_linear
-from .df import df_batch
+from .df import df_balancing_gain, df_batch
 
 __all__ = [
     "EnsembleConfig",
@@ -99,55 +102,135 @@ def _gains_from_normals(cfg: EnsembleConfig, z: np.ndarray) -> tuple[np.ndarray,
 def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one channel realization; deterministic given the generator state.
 
-    Consumes the same six standard normals per call as one row of the sweep's
-    block draw, so scalar and vectorized sampling paths line up.
+    Consumes six standard normals per call, the same as one row of the
+    sweep's chunked draw, so n calls on a fresh generator give the gains of
+    the sweep's first n samples.
     """
     h_r, h_d, h_e = _gains_from_normals(cfg, rng.standard_normal(6))
     return ChannelRealization(complex(h_r), complex(h_d), complex(h_e))
 
 
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
+_THRESHOLDS = {Strategy.AF: af_saturation_budget, Strategy.DF: df_balancing_gain}
+
+# Samples drawn and evaluated at a time. Larger chunks spend less time on
+# per-budget call overhead but hold more memory.
+_CHUNK = 1 << 16
 
 
-def _mean_stderr(v: np.ndarray) -> tuple[float, float]:
-    n = v.size
-    mean = float(np.mean(v))
-    if n < 2:
-        return mean, 0.0
-    return mean, float(np.std(v, ddof=1) / math.sqrt(n))
+def _chunks(cfg: EnsembleConfig):
+    """(alpha, beta, mu) for successive blocks of at most _CHUNK samples.
+
+    Successive standard_normal((m, 6)) calls on one generator give the same
+    stream, row for row, as one (n_samples, 6) draw.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    p_s = db_to_linear(cfg.p_s_dbw)
+    for start in range(0, cfg.n_samples, _CHUNK):
+        yield _params_from_normals(cfg, p_s, rng.standard_normal(
+            (min(_CHUNK, cfg.n_samples - start), 6)))
+
+
+def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
+    # A function of its own, so the normals and gains are freed before the
+    # chunk is evaluated.
+    h_r, h_d, h_e = _gains_from_normals(cfg, z)
+    return np.abs(h_d) ** 2, np.abs(h_e) ** 2, 1.0 + p_s * np.abs(h_r) ** 2
+
+
+def _moments(x: np.ndarray):
+    """(count, sums, M2) of the rows of x: pairwise sums, two-pass M2."""
+    n = x.shape[-1]
+    sums = x.sum(axis=-1)
+    dev = x - (sums / max(n, 1))[..., None]
+    return n, sums, np.square(dev, out=dev).sum(axis=-1)
+
+
+def _merge(a, b):
+    """Moments of the union of two disjoint groups, either possibly empty
+    (Chan, Golub & LeVeque 1983).
+
+    Sums are added rather than means averaged: the values are nonnegative,
+    so the sums carry no cancellation and every M2 term is nonnegative. A
+    sweep's sum is pairwise within each evaluated tail and sequential over
+    at most one settled group per budget and one chunk per _CHUNK samples,
+    so its relative error is at most about (log2(_CHUNK) + budgets +
+    chunks) * 2**-53.
+    """
+    (na, sa, qa), (nb, sb, qb) = a, b
+    n = na + nb
+    delta = sb / max(nb, 1) - sa / max(na, 1)
+    return n, sa + sb, qa + qb + delta * delta * (na / max(n, 1) * nb)
+
+
+def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
+    """Moments of (capacity, consumed) over one chunk at every budget.
+
+    Returns (count, sums, M2), sums and M2 of shape (len(grid), 2). Lanes
+    with alpha <= beta are (0, 0) at every budget and are not evaluated.
+    The others are sorted by their threshold s, past which the kernel
+    output is constant, and the kernel runs only on the tail not yet
+    settled. A lane settles, after the lanes before it, at a budget p > s
+    where its consumed power is s: for AF at any such p, for DF where the
+    kernel took the cut-balancing branch, which it keeps at larger budgets
+    because its second cut is nondecreasing in P_r. (At p = s the two cuts
+    tie up to rounding and either branch may be taken.) A settled lane's
+    outputs are its values at every later budget, so each lane gets the
+    value a call on all lanes gives it, bit for bit.
+    """
+    size = alpha.size
+    lanes = np.flatnonzero(alpha > beta)
+    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
+    with np.errstate(divide="ignore"):
+        threshold = _THRESHOLDS[strategy](alpha, beta, mu)
+    order = np.argsort(threshold)
+    threshold, alpha, beta, mu = (v.take(order) for v in (threshold, alpha, beta, mu))
+    below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
+    kernel = _KERNELS[strategy]
+    sums = np.empty((len(grid), 2))
+    m2 = np.empty((len(grid), 2))
+    settled = (0, 0.0, 0.0)
+    done = 0
+    for i, (p_r, j) in enumerate(zip(grid, below)):
+        values = np.array(kernel(alpha[done:], beta[done:], mu[done:], p_r))
+        _, sums[i], m2[i] = _merge(settled, _moments(values))
+        settles = values[1, : j - done] == threshold[done:j]
+        count = settles.size if settles.all() else int(np.argmin(settles))
+        if count:
+            settled = _merge(settled, _moments(values[:, :count]))
+            done += count
+    return _merge((size - alpha.size, 0.0, 0.0), (alpha.size, sums, m2))
 
 
 def ergodic_sweep(cfg: EnsembleConfig) -> list[SweepRecord]:
     """Mean secrecy capacity and consumed relay power per (strategy, budget).
 
     Records are ordered strategy-major in config order, budgets ascending.
+    Each sample's values are those the kernels give it on the whole
+    ensemble; means and standard errors, merged chunk by chunk, differ from
+    one-block numpy reductions only by rounding.
     """
-    rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal((cfg.n_samples, 6))
-    h_r, h_d, h_e = _gains_from_normals(cfg, z)
-    p_s = db_to_linear(cfg.p_s_dbw)
-    alpha = np.abs(h_d) ** 2
-    beta = np.abs(h_e) ** 2
-    mu = 1.0 + p_s * np.abs(h_r) ** 2
-
+    totals = dict.fromkeys(cfg.strategies, (0, 0.0, 0.0))
+    for alpha, beta, mu in _chunks(cfg):
+        for strategy in cfg.strategies:
+            chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
+            totals[strategy] = _merge(totals[strategy], chunk)
     records: list[SweepRecord] = []
     for strategy in cfg.strategies:
-        kernel = _KERNELS[strategy]
-        for p_r in cfg.p_r_grid:
-            capacity, consumed = kernel(alpha, beta, mu, p_r)
-            mean_c, se_c = _mean_stderr(capacity)
-            mean_p, se_p = _mean_stderr(consumed)
+        n, sums, m2 = totals[strategy]
+        means = sums / n
+        stderrs = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros_like(m2)
+        for p_r, (mean_c, mean_p), (se_c, se_p) in zip(cfg.p_r_grid, means, stderrs):
             records.append(
                 SweepRecord(
                     strategy=strategy,
                     p_r=p_r,
-                    mean_capacity=mean_c,
-                    stderr_capacity=se_c,
-                    mean_consumed_power=mean_p,
-                    stderr_consumed_power=se_p,
+                    mean_capacity=float(mean_c),
+                    stderr_capacity=float(se_c),
+                    mean_consumed_power=float(mean_p),
+                    stderr_consumed_power=float(se_p),
                     n_samples=cfg.n_samples,
                     seed=cfg.seed,
                 )
             )
     return records
-

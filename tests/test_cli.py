@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secrelay import cli
 from secrelay.cli import main
 from secrelay.verify import solver_consistency
 
@@ -141,6 +142,31 @@ class TestSweep:
         assert code == 1
         assert "step" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--pr-stop", "1e300", "--pr-step", "1e-300"], "points"),
+        (["--pr-start=-1e308", "--pr-stop", "1e308", "--pr-step", "1"], "points"),
+        (["--pr-stop", "inf", "--pr-step", "1"], "--pr-stop must be finite"),
+        (["--pr-stop", "nan", "--pr-step", "1"], "--pr-stop must be finite"),
+        (["--pr-start=-inf", "--pr-stop", "1", "--pr-step", "1"], "--pr-start must be finite"),
+        (["--pr-stop", "1", "--pr-step", "nan"], "--pr-step must be finite"),
+    ])
+    def test_unbounded_grid_usage_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", "--alpha", "4", "--beta", "1", "--mu", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_point_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+        argv = ["sweep", "--strategy", "af", "--alpha", "4", "--beta", "1", "--mu", "2",
+                "--pr-step", "0.25"]
+        code, out, _ = run(capsys, *argv, "--pr-stop", "1")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 5
+        code, out, err = run(capsys, *argv, "--pr-stop", "1.25")
+        assert code == 1
+        assert "5 points" in err
+
 
 class TestMonteCarlo:
     def test_csv_header_and_seed_echo(self, capsys):
@@ -252,6 +278,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--draws", "5", "--seed", "3")
         assert code == 2
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--strategy", "af", "--alpha", "4", "--beta", "1", "--mu", "2", "--pr", "1"],
+    ["sweep", "--alpha", "4", "--beta", "1", "--mu", "2", "--pr-stop", "1", "--pr-step", "0.5"],
+    MC_SMALL,
+    ["verify", "--draws", "1", "--seed", "3"],
+])
+def test_output_in_missing_directory_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write output file") and str(path) in err
+    assert not path.exists()
 
 
 class TestParsing:

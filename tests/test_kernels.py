@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from secrelay import af, df, montecarlo
 from secrelay.af import af_batch, af_optimal_gain, af_secrecy_capacity
 from secrelay.channel import DerivedParams, PowerBudget, Strategy
-from secrelay.df import df_batch, df_optimal_gain, df_secrecy_capacity
+from secrelay.df import (
+    df_batch,
+    df_optimal_gain,
+    df_secrecy_capacity,
+    second_hop_secrecy_capacity,
+)
 from secrelay.fractional import RatioQuadraticProblem, lambda_hat_closed_form
 
 MAX = sys.float_info.max
@@ -132,6 +137,34 @@ def test_overflow_regressions(case):
     check_invariants(*case, a.capacity, a.consumed_power, d.capacity, d.consumed_power)
     assert a.capacity == pytest.approx(ref_af(*case), rel=REL_TOL, abs=1e-300)
     assert d.capacity == pytest.approx(ref_df(*case), rel=REL_TOL, abs=1e-300)
+
+
+def ref_second_hop(alpha, beta, p_r):
+    """log2((1+alpha*P_r)/(1+beta*P_r)) clamped at zero, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, p = _decimals(alpha, beta, p_r)
+        ratio = (1 + a * p) / (1 + b * p)
+        return 0.0 if ratio <= 1 else float(ratio.ln() / Decimal(2).ln())
+
+
+@pytest.mark.parametrize("alpha, beta, p_r", [
+    (2.0, 1.0, 1e308),        # the ratio of the unscaled products is inf/inf
+    (2.0, 1.0, MAX),
+    (MAX, MAX / 2, MAX),
+    (1e300, 0.0, 1e300),      # the ratio itself exceeds MAX
+    (MAX, 0.0, MAX),
+    (1.0, 1e-300, 1e308),
+    (1e308, 1e-308, 10.0),
+    (5e-324, 0.0, MAX),       # just above 1
+    (MAX, 1.0, 1e-300),
+    (0.0, MAX, MAX),          # below 1: clamped
+    (1.0, 2.0, 5e-324),
+])
+def test_second_hop_cut_stays_finite(alpha, beta, p_r):
+    got = second_hop_secrecy_capacity(DerivedParams(alpha, beta, 1.0), PowerBudget(0.0, p_r))
+    assert math.isfinite(got)
+    assert got == pytest.approx(ref_second_hop(alpha, beta, p_r), rel=0.0, abs=1e-12)
 
 
 def test_gains_at_huge_budget():

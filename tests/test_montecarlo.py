@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from secrelay.af import af_secrecy_capacity
+from secrelay import montecarlo
+from secrelay.af import af_saturation_budget, af_secrecy_capacity
 from secrelay.channel import DerivedParams, PowerBudget, Strategy, db_to_linear, derive_params
-from secrelay.df import df_secrecy_capacity
+from secrelay.df import df_balancing_gain, df_secrecy_capacity
 from secrelay.montecarlo import (
     EnsembleConfig,
     af_batch,
@@ -159,3 +161,155 @@ class TestSweep:
         records = ergodic_sweep(cfg)
         assert {r.strategy for r in records} == {Strategy.DF}
         assert len(records) == len(cfg.p_r_grid)
+
+
+def _block_reference(cfg):
+    """Per-budget (mean, stderr) of capacity and consumed power from one
+    (n, 6) draw and one kernel call on all samples per budget."""
+    z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_samples, 6))
+    h_r, h_d, h_e = montecarlo._gains_from_normals(cfg, z)
+    alpha, beta = np.abs(h_d) ** 2, np.abs(h_e) ** 2
+    mu = 1.0 + db_to_linear(cfg.p_s_dbw) * np.abs(h_r) ** 2
+    n = cfg.n_samples
+    rows = []
+    for strategy in cfg.strategies:
+        kernel = af_batch if strategy is Strategy.AF else df_batch
+        for p_r in cfg.p_r_grid:
+            row = []
+            for v in kernel(alpha, beta, mu, p_r):
+                row += [np.mean(v), np.std(v, ddof=1) / math.sqrt(n) if n > 1 else 0.0]
+            rows.append(row)
+    return np.array(rows)
+
+
+def _as_array(records):
+    return np.array([[r.mean_capacity, r.stderr_capacity,
+                      r.mean_consumed_power, r.stderr_consumed_power] for r in records])
+
+
+# Budgets below, between and above most lanes' AF saturation budgets and DF
+# balancing gains at the default 10 dBW source power.
+STREAM_GRID = (0.0, 0.05, 0.5, 2.0, 8.0, 30.0, 1e3)
+SMALL_CHUNK = 64
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("n", [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
+                                   2 * SMALL_CHUNK + 3])
+    @pytest.mark.parametrize("var_hd", [1.0, 8.0])
+    def test_matches_whole_block_reference(self, monkeypatch, n, var_hd):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfg = EnsembleConfig(var_hd=var_hd, p_r_grid=STREAM_GRID, n_samples=n, seed=21)
+        got, want = _as_array(ergodic_sweep(cfg)), _block_reference(cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        if n == 1:
+            assert not got[:, [1, 3]].any()
+
+    def test_independent_of_chunk_size(self, monkeypatch):
+        cfg = EnsembleConfig(var_hd=4.0, p_r_grid=STREAM_GRID, n_samples=3001, seed=22)
+        results = []
+        for chunk in (7, 1000, 3001, montecarlo._CHUNK):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            results.append(_as_array(ergodic_sweep(cfg)))
+        for got in results[1:]:
+            np.testing.assert_allclose(got, results[0], rtol=1e-13, atol=0.0)
+
+    def test_memory_flat_in_sample_count(self):
+        def peak(n):
+            cfg = EnsembleConfig(p_r_grid=(0.0, 1.0, 4.0, 16.0), n_samples=n, seed=23)
+            tracemalloc.start()
+            try:
+                ergodic_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2**19) <= peak(2**17) + 2**20
+
+
+class _SpyKernel:
+    """Wraps a kernel and records the lanes and budget of every call."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = []
+
+    def __call__(self, alpha, beta, mu, p_r):
+        out = self.kernel(alpha, beta, mu, p_r)
+        self.calls.append((alpha.copy(), beta.copy(), mu.copy(), p_r, np.array(out)))
+        return out
+
+
+def _edge_lanes():
+    """Random lanes plus the cases the sweep must not skip: beta == 0 (AF
+    never saturates), alpha <= beta*mu (DF never balances), mu == 1 and
+    alpha <= beta (zero at every budget)."""
+    rng = np.random.default_rng(24)
+    n = 400
+    alpha = rng.exponential(2.0, n)
+    beta = rng.exponential(1.0, n)
+    mu = 1.0 + rng.exponential(10.0, n)
+    alpha[:20], beta[:20] = 1.0 + rng.exponential(1.0, 20), 0.0
+    share = 1.0 / mu[20:40]
+    beta[20:40] = alpha[20:40] * (share + (1.0 - share) * rng.uniform(0.01, 0.99, 20))
+    mu[40:50] = 1.0
+    alpha[50:60] = beta[50:60]
+    return alpha, beta, mu
+
+
+def _edge_grid(alpha, beta, mu):
+    # Budgets at and one ulp above some lanes' thresholds. At its DF
+    # threshold the two cuts are equal up to rounding, so the kernel may take
+    # either branch there and just above it.
+    with np.errstate(divide="ignore"):
+        s_af = af_saturation_budget(alpha[60:63], beta[60:63], mu[60:63])
+        s_df = df_balancing_gain(alpha, beta, mu)
+    s_df = s_df[np.isfinite(s_df) & (alpha > beta)][:10]
+    near = np.concatenate([s_af, s_df])
+    return np.unique(np.concatenate([[0.0, 0.3, 1.0, 5.0, 40.0, 1e4], near,
+                                     np.nextafter(near, np.inf)]))
+
+
+class TestChunkEvaluation:
+    @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
+    def test_per_lane_values_match_one_call(self, monkeypatch, strategy):
+        # Rebuild each lane's value at each budget from the calls made: a
+        # lane the sweep stops evaluating keeps the output of its last call.
+        alpha, beta, mu = _edge_lanes()
+        grid = _edge_grid(alpha, beta, mu)
+        spy = _SpyKernel(montecarlo._KERNELS[strategy])
+        monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
+        n, sums, m2 = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        assert [c[3] for c in spy.calls] == list(grid)
+        lanes = spy.calls[0][:3]
+        settled = np.empty((2, 0))
+        for k, (a, _, _, p_r, out) in enumerate(spy.calls):
+            full = np.array(spy.kernel(*lanes, p_r))
+            assert np.array_equal(np.concatenate([settled, out], axis=1), full)
+            if k + 1 < len(spy.calls):
+                drop = a.size - spy.calls[k + 1][0].size
+                settled = np.concatenate([settled, out[:, :drop]], axis=1)
+        assert n == alpha.size
+        for i, p_r in enumerate(grid):
+            values = np.array(spy.kernel(alpha, beta, mu, p_r))
+            np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("strategy, never_settle", [
+        (Strategy.AF, slice(0, 20)),    # beta == 0
+        (Strategy.DF, slice(20, 40)),   # alpha <= beta*mu
+    ])
+    def test_unsaturating_lanes_evaluated_at_every_budget(self, monkeypatch, strategy,
+                                                          never_settle):
+        alpha, beta, mu = _edge_lanes()
+        grid = _edge_grid(alpha, beta, mu)
+        spy = _SpyKernel(montecarlo._KERNELS[strategy])
+        monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
+        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        assert len(spy.calls) == grid.size
+        for a, b, m, _, _ in spy.calls:
+            assert np.isin(alpha[never_settle], a).all()
+            assert not np.isin(alpha[50:60], a).any()
+            assert np.all(a > b)
+        # Saturating lanes do drop out.
+        assert spy.calls[-1][0].size < spy.calls[0][0].size

@@ -37,7 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-# Most budget points one `sweep` evaluates; bounds its run time and memory.
+# Most budget points one `sweep` or `montecarlo` run evaluates; bounds its
+# run time and memory.
 MAX_SWEEP_POINTS = 100_000
 
 _SEED_ENV = "SECRELAY_SEED"
@@ -255,8 +256,8 @@ def _cmd_montecarlo(args) -> int:
         raise _UsageError(f"bad var_hd list {settings['var_hd']!r}") from exc
     if not var_hd_list:
         raise _UsageError("var_hd list must not be empty")
-    if settings["pr_points"] < 1:
-        raise _UsageError("pr_points must be at least 1")
+    if not 1 <= settings["pr_points"] <= MAX_SWEEP_POINTS:
+        raise _UsageError(f"pr_points must be between 1 and {MAX_SWEEP_POINTS}")
     grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
     strategies = _parse_strategies(str(settings["strategies"]))
     rows = []
@@ -359,7 +360,8 @@ def _build_parser() -> _Parser:
     mc.add_argument("--ps-dbw", dest="p_s_dbw", type=float)
     mc.add_argument("--pr-start", dest="pr_start", type=float)
     mc.add_argument("--pr-stop", dest="pr_stop", type=float)
-    mc.add_argument("--pr-points", dest="pr_points", type=int)
+    mc.add_argument("--pr-points", dest="pr_points", type=int,
+                    help=f"budgets per curve, at most {MAX_SWEEP_POINTS}")
     mc.add_argument("--n-samples", dest="n_samples", type=int)
     mc.add_argument("--seed", dest="seed", type=int)
     mc.add_argument("--strategies", dest="strategies")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .af import _cn_samples
 from .channel import ChannelRealization, DerivedParams, PowerBudget
-from .fractional import maximize_on_interval
+from .fractional import _blockwise, maximize_on_interval
 
 __all__ = [
     "PSDViolationError",
@@ -155,21 +155,26 @@ def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi):
         0.5*log2[ (1+beta*x)/(1+beta*mu*x) * N(mu*x) / N(x) ],
         N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*Re{t*h_d*conj(h_e)*phi}.
 
-    Accepts a scalar x or a numpy array. Raises when either variance term is
+    Accepts a scalar x, for which it returns a float, or a numpy array,
+    evaluated in cache-sized blocks. Raises when either variance term is
     nonpositive (possible only at |phi| = 1).
     """
     phi = _as_correlation(phi)
     a, b, m = params.alpha, params.beta, params.mu
     cross = _cross_term(ch, phi)
     phi2 = phi.abs2
-    n_mu = 1.0 + (a + b) * m * x - phi2 - 2.0 * m * x * cross
-    n_one = 1.0 + (a + b) * x - phi2 - 2.0 * x * cross
-    if np.any(np.asarray(n_one) <= 0.0) or np.any(np.asarray(n_mu) <= 0.0):
-        raise DegenerateDistributionError("conditional variance is not positive")
-    val = 0.5 * np.log2((1.0 + b * x) * n_mu / ((1.0 + b * m * x) * n_one))
+
+    def value(x):
+        n_mu = 1.0 + (a + b) * m * x - phi2 - 2.0 * m * x * cross
+        n_one = 1.0 + (a + b) * x - phi2 - 2.0 * x * cross
+        # count_nonzero, unlike any(), is cheap on the bools of a scalar x.
+        if np.count_nonzero(n_one <= 0.0) or np.count_nonzero(n_mu <= 0.0):
+            raise DegenerateDistributionError("conditional variance is not positive")
+        return 0.5 * np.log2((1.0 + b * x) * n_mu / ((1.0 + b * m * x) * n_one))
+
     if np.isscalar(x):
-        return float(val)
-    return val
+        return float(value(x))
+    return _blockwise(value, x)
 
 
 def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBudget,

@@ -197,6 +197,31 @@ class TestMonteCarlo:
         assert out == ""
         assert err.startswith("error:") and "4000" in err
 
+    def test_budget_count_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+        i = MC_SMALL.index("--pr-points")
+        argv = MC_SMALL[:i] + MC_SMALL[i + 2:]
+        code, out, _ = run(capsys, *argv, "--pr-points", "5")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 5
+        for count in ("6", "0"):
+            code, out, err = run(capsys, *argv, "--pr-points", count)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "between 1 and 5" in err
+
+    def test_budget_count_limit_from_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("var_hd = 1\npr_points = 6\nn_samples = 400\n")
+        code, _, err = run(capsys, "montecarlo", "--config", str(cfg))
+        assert code == 1
+        assert "between 1 and 5" in err
+        cfg.write_text("var_hd = 1\npr_points = 5\nn_samples = 400\n")
+        code, out, _ = run(capsys, "montecarlo", "--config", str(cfg))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 5
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

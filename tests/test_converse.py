@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secrelay import fractional
 from secrelay.af import af_achievable_rate_at, af_secrecy_capacity
 from secrelay.channel import ChannelRealization, DerivedParams, PowerBudget, derive_params
 from secrelay.converse import (
@@ -199,6 +200,55 @@ class TestBoundObjective:
         xs = np.linspace(0.0, 0.25, 5)
         vals = bound_objective(CH, PARAMS, xs, select_phi(CH, PARAMS))
         assert vals.shape == xs.shape
+
+
+class TestBlockedBoundObjective:
+    """Grids longer than `fractional._BLOCK` are evaluated block by block;
+    values must be those of one whole-array evaluation, bit for bit."""
+
+    BLOCK = 64
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("phi", [None, complex(0.3, -0.5)])
+    def test_matches_single_block(self, monkeypatch, n, phi):
+        phi = select_phi(CH, PARAMS) if phi is None else phi
+        xs = np.linspace(0.0, 3.0, n)
+        monkeypatch.setattr(fractional, "_BLOCK", 10**9)
+        whole = bound_objective(CH, PARAMS, xs, phi)
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        blocked = bound_objective(CH, PARAMS, xs, phi)
+        assert blocked.shape == xs.shape
+        assert np.array_equal(blocked, whole)
+
+    def test_scalar_and_size_one_types(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_BLOCK", 1)
+        phi = complex(0.3, -0.5)
+        for x in (0.2, np.float64(0.2), 0):
+            assert type(bound_objective(CH, PARAMS, x, phi)) is float
+        one = bound_objective(CH, PARAMS, np.array([0.2]), phi)
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == bound_objective(CH, PARAMS, 0.2, phi)
+
+    def test_scalar_equals_array_element(self):
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            ch, params, pb = random_channel(rng)
+            phi = random_phi(rng)
+            xs = rng.uniform(0.0, 5.0, 7)
+            vals = bound_objective(ch, params, xs, phi)
+            assert [bound_objective(ch, params, float(x), phi) for x in xs] == list(vals)
+
+    def test_degenerate_variance_in_last_block_raises(self, monkeypatch):
+        # At phi = 1 both variances are proportional to x for this channel
+        # (N(x) = x, N(mu*x) = 2x), so only x = 0, the last point, is
+        # degenerate.
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        xs = np.linspace(1.0, 0.0, 2 * self.BLOCK + 3)
+        assert np.all(np.isfinite(bound_objective(CH, PARAMS, xs[:-1], 1.0)))
+        with pytest.raises(DegenerateDistributionError):
+            bound_objective(CH, PARAMS, xs, 1.0)
+        with pytest.raises(DegenerateDistributionError):
+            bound_objective(CH, PARAMS, 0.0, 1.0)
 
 
 class TestGenieBound:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secrelay import fractional
 from secrelay.fractional import (
     LambdaSolution,
     RatioQuadraticProblem,
@@ -57,6 +58,52 @@ class TestEvalF:
         vals = eval_f(PROB_WIDE, xs)
         assert vals.shape == xs.shape
         assert vals[0] == 1.0
+
+
+class TestBlockedEvaluation:
+    """`eval_f` evaluates long grids `_BLOCK` points at a time; the values must
+    be those of one whole-array evaluation, bit for bit."""
+
+    BLOCK = 64
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_matches_single_block(self, monkeypatch, n):
+        xs = np.linspace(0.0, PROB_WIDE.x_max, n)
+        monkeypatch.setattr(fractional, "_BLOCK", 10**9)
+        whole = eval_f(PROB_WIDE, xs)
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        blocked = eval_f(PROB_WIDE, xs)
+        assert blocked.shape == xs.shape
+        assert np.array_equal(blocked, whole)
+
+    def test_long_grid_is_cut_into_blocks(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        sizes = []
+
+        def double(x):
+            sizes.append(np.size(x))
+            return 2.0 * x
+
+        xs = np.arange(2 * self.BLOCK + 3, dtype=float)
+        assert np.array_equal(fractional._blockwise(double, xs), 2.0 * xs)
+        assert sizes == [self.BLOCK, self.BLOCK, 3]
+        sizes.clear()
+        fractional._blockwise(double, xs[: self.BLOCK])
+        fractional._blockwise(double, 0.5)
+        assert sizes == [self.BLOCK, 1]
+
+    def test_default_grid_matches_single_block(self, monkeypatch):
+        xs = np.linspace(0.0, PROB_WIDE.x_max, 200_001)
+        blocked = eval_f(PROB_WIDE, xs)
+        monkeypatch.setattr(fractional, "_BLOCK", 10**9)
+        assert np.array_equal(blocked, eval_f(PROB_WIDE, xs))
+
+    def test_scalar_and_size_one_types(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_BLOCK", 1)
+        assert type(eval_f(PROB_WIDE, 0.3)) is float
+        one = eval_f(PROB_WIDE, np.array([0.3]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == eval_f(PROB_WIDE, 0.3)
 
 
 class TestEvalF_lambda:
@@ -286,6 +333,43 @@ class TestGridOracle:
     def test_maximize_on_interval_rejects_negative_domain(self):
         with pytest.raises(ValueError):
             maximize_on_interval(lambda x: x, -1.0)
+
+    def test_section_search_one_evaluation_per_step(self):
+        # Each golden-section step evaluates one new point; the first step
+        # needs two and the final midpoint one more: at most 2 + steps.
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        for n_points, tol in ((11, 1e-12), (8, 1e-9), (1001, 1e-12), (2, 1e-6)):
+            sizes = []
+
+            def fun(x):
+                sizes.append(np.size(x))
+                return -(x - 0.3) ** 2
+
+            xs = np.linspace(0.0, 1.0, n_points)
+            i = int(np.argmax(fun(xs)))
+            width = xs[min(i + 1, n_points - 1)] - xs[max(i - 1, 0)]
+            steps = math.ceil(math.log(tol / width) / math.log(g))
+            sizes.clear()
+            maximize_on_interval(fun, 1.0, n_points, refine_tol=tol)
+            assert sizes.count(n_points) == 1
+            single = sizes.count(1)
+            assert single == len(sizes) - 1
+            assert steps <= single <= steps + 2
+
+    def test_section_search_finds_unimodal_peak(self):
+        for n_points in (2, 8, 101):
+            for tol in (1e-12, 1e-8):
+                x_star, f_star = maximize_on_interval(
+                    lambda x: -(x - 0.3) ** 2, 1.0, n_points, refine_tol=tol)
+                assert abs(x_star - 0.3) <= tol
+                grid = np.linspace(0.0, 1.0, n_points)
+                assert f_star >= -np.abs(grid - 0.3).min() ** 2
+
+    def test_section_search_left_tie_rule(self):
+        for n_points in (2, 5, 1001):
+            x_star, f_star = maximize_on_interval(np.ones_like, 2.0, n_points)
+            assert 0.0 <= x_star <= 1e-12
+            assert f_star == 1.0
 
     def test_flat_objective_resolves_to_smallest_x(self):
         x_star, f_star = grid_oracle(RatioQuadraticProblem(2.0, 2.0, 5.0, 3.0), 10_001)

@@ -71,6 +71,15 @@ def _exact_lanes(fn, values, redo, *args):
     return out
 
 
+def _zero_outside(values, keep):
+    """`values`, a fresh ufunc result, as an array with the lanes outside
+    `keep` set to 0. A masked write touches only those lanes, where np.where
+    would copy every lane."""
+    out = np.asarray(values)
+    np.copyto(out, 0.0, where=np.logical_not(keep))
+    return out
+
+
 def _af_factors(alpha, beta, mu, consumed):
     # f(x) - 1 = (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x) at
     # x = consumed/mu, the first factor divided through by x.
@@ -106,17 +115,18 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
         # Where alpha > beta the first factor lies in [0, 1] and the second
         # in [0, mu-1] (beta*mu*x_hat < sqrt(mu)), so neither overflows. At
         # extreme scales the first can still leave the normal range; those
-        # lanes are redone exactly.
+        # lanes are redone exactly, and one pass rules them out in the
+        # common case.
         first, second = _af_factors(alpha, beta, mu, consumed)
         gain = first * second
         active = (alpha > beta) & (mu > 1.0)
-        redo = active & (consumed > 0.0) & ~(first >= _MIN_NORMAL)
-        if np.any(redo):
-            gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
-                                alpha, beta, mu, consumed)
-        capacity = np.where(active, np.log1p(gain) * _HALF_LOG2_E, 0.0)
-        consumed = np.where(active, consumed, 0.0)
-    return capacity, consumed
+        if not np.minimum.reduce(first, axis=None, initial=np.inf) >= _MIN_NORMAL:
+            redo = active & (consumed > 0.0) & ~(first >= _MIN_NORMAL)
+            if np.any(redo):
+                gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
+                                    alpha, beta, mu, consumed)
+        capacity = _zero_outside(np.log1p(gain) * _HALF_LOG2_E, active)
+    return capacity, _zero_outside(consumed, active)
 
 
 def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult:

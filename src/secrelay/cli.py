@@ -260,9 +260,8 @@ def _cmd_montecarlo(args) -> int:
         raise _UsageError(f"pr_points must be between 1 and {MAX_SWEEP_POINTS}")
     grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
     strategies = _parse_strategies(str(settings["strategies"]))
-    rows = []
-    for var_hd in var_hd_list:
-        cfg = EnsembleConfig(
+    cfgs = [
+        EnsembleConfig(
             var_hr=settings["var_hr"],
             var_hd=var_hd,
             var_he=settings["var_he"],
@@ -272,24 +271,27 @@ def _cmd_montecarlo(args) -> int:
             seed=settings["seed"],
             strategies=strategies,
         )
-        for rec in ergodic_sweep(cfg):
-            if args.pr_axis == "db":
-                p_col = 10.0 * math.log10(rec.p_r) if rec.p_r > 0 else -math.inf
-            else:
-                p_col = rec.p_r
-            rows.append(
-                [
-                    rec.strategy,
-                    var_hd,
-                    p_col,
-                    rec.mean_capacity,
-                    rec.stderr_capacity,
-                    rec.mean_consumed_power,
-                    rec.stderr_consumed_power,
-                    rec.n_samples,
-                    rec.seed,
-                ]
-            )
+        for var_hd in var_hd_list
+    ]
+    rows = []
+    for rec in ergodic_sweep(*cfgs):
+        if args.pr_axis == "db":
+            p_col = 10.0 * math.log10(rec.p_r) if rec.p_r > 0 else -math.inf
+        else:
+            p_col = rec.p_r
+        rows.append(
+            [
+                rec.strategy,
+                rec.var_hd,
+                p_col,
+                rec.mean_capacity,
+                rec.stderr_capacity,
+                rec.mean_consumed_power,
+                rec.stderr_consumed_power,
+                rec.n_samples,
+                rec.seed,
+            ]
+        )
     header = [
         "strategy",
         "sigma2_hd",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes
+from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes, _zero_outside
 from .channel import DerivedParams, PowerBudget, Strategy
 
 __all__ = [
@@ -54,15 +54,22 @@ def _second_hop_gain(alpha, beta, p_r):
     return (alpha - beta) / (beta + 1 / p_r)
 
 
-def df_balancing_gain(alpha, beta, mu):
+def df_balancing_gain(alpha, beta, mu, where=True):
     """Cut-balancing gain (mu-1)/(alpha-beta*mu), the relay power beyond which
     the DF capacity and consumed power are constant; inf where it is negative
     or undefined, since there the second hop never outgrows the first.
 
-    The caller silences the division warnings.
+    Only the lanes in the mask `where` are computed; the others are inf. The
+    caller silences the division warnings.
     """
-    gain = np.divide(mu - 1.0, alpha - beta * mu)
-    return np.where(gain >= 0.0, gain, np.inf)
+    shape = np.broadcast(alpha, beta, mu, where).shape
+    gain, den = np.full(shape, np.inf), np.empty(shape)
+    np.subtract(mu, 1.0, out=gain, where=where)
+    np.multiply(beta, mu, out=den, where=where)
+    np.subtract(alpha, den, out=den, where=where)
+    np.divide(gain, den, out=gain, where=where)
+    np.copyto(gain, np.inf, where=np.logical_not(gain >= 0.0))
+    return gain
 
 
 def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
@@ -80,20 +87,24 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
         snr = _second_hop_gain(alpha, beta, p_r)
         positive = alpha > beta
         # Lanes where an extreme scale pushed the gain out of the normal
-        # range are redone exactly.
-        redo = positive & (p_r > 0.0) & ~(snr >= _MIN_NORMAL)
-        if np.any(redo):
-            snr = _exact_lanes(_second_hop_gain, snr, redo, alpha, beta, p_r)
+        # range are redone exactly; one pass rules them out in the common case.
+        if not np.minimum.reduce(snr, axis=None, initial=np.inf) >= _MIN_NORMAL:
+            redo = positive & (p_r > 0.0) & ~(snr >= _MIN_NORMAL)
+            if np.any(redo):
+                snr = _exact_lanes(_second_hop_gain, snr, redo, alpha, beta, p_r)
         # Half of each cut, rounded the way af_batch rounds its capacity.
         first = 0.5 * np.log2(mu)
         second = np.log1p(snr) * _HALF_LOG2_E
-        capacity = np.where(positive, np.minimum(first, second), 0.0)
-        gain = df_balancing_gain(alpha, beta, mu)
-        # The balancing gain lies in [0, P_r] whenever the second cut is the
-        # larger; where rounding at equal cuts pushes it out, P_r is its limit.
-        balancing = positive & (second > first) & (gain <= p_r)
-        gain = np.where(balancing, gain, np.where(positive, p_r, 0.0))
-    return capacity, gain
+        capacity = _zero_outside(np.minimum(first, second), positive)
+        # Full power, or the balancing gain, computed only where the second
+        # cut is the larger. It lies in [0, P_r] there; where rounding at
+        # equal cuts pushes it out, P_r is its limit.
+        consumed = _zero_outside(np.full_like(capacity, p_r), positive)
+        balancing = positive & (second > first)
+        if np.any(balancing):
+            gain = df_balancing_gain(alpha, beta, mu, where=balancing)
+            np.copyto(consumed, gain, where=balancing & (gain <= p_r))
+    return capacity, consumed
 
 
 def df_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult:

@@ -2,23 +2,24 @@
 
 Gains are circularly symmetric complex Gaussian (Rayleigh magnitudes) with
 configurable per-link variances. One set of channel realizations is drawn per
-sweep and reused across every budget grid point and both strategies (common
-random numbers), which slashes comparison variance and makes the DF-beats-AF
-ordering hold sample by sample.
+sweep and reused across every budget grid point, both strategies and every
+destination variance swept together (common random numbers), which slashes
+comparison variance and makes the DF-beats-AF ordering hold sample by sample.
 
 Randomness comes from numpy's default PCG64 generator seeded with the 64-bit
 config seed. Samples are drawn in chunks of _CHUNK rows of six standard
 normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
 implementation. A sweep holds one chunk at a time, so its memory does not
-grow with the sample count, and evaluates the kernels only on samples whose
-output still depends on the budget.
+grow with the sample count or the number of variances, and evaluates the
+kernels only on samples whose output still depends on the budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,9 +65,14 @@ class EnsembleConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("p_r_grid must be strictly increasing")
         object.__setattr__(self, "p_r_grid", grid)
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         strategies = tuple(self.strategies)
         if len(strategies) == 0:
@@ -83,6 +89,7 @@ class SweepRecord:
     """One curve point: ensemble means and standard errors at a budget value."""
 
     strategy: Strategy
+    var_hd: float
     p_r: float
     mean_capacity: float
     stderr_capacity: float
@@ -92,11 +99,19 @@ class SweepRecord:
     seed: int
 
 
+def _pair(z: np.ndarray, k: int) -> np.ndarray:
+    """Columns k and k+1 of the standard normals z as re + 1j*im."""
+    return z[..., k] + 1j * z[..., k + 1]
+
+
+def _gain(var: float, pair: np.ndarray) -> np.ndarray:
+    """Gain of variance var from a pair of standard normals."""
+    return math.sqrt(var / 2.0) * pair
+
+
 def _gains_from_normals(cfg: EnsembleConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    h_r = math.sqrt(cfg.var_hr / 2.0) * (z[..., 0] + 1j * z[..., 1])
-    h_d = math.sqrt(cfg.var_hd / 2.0) * (z[..., 2] + 1j * z[..., 3])
-    h_e = math.sqrt(cfg.var_he / 2.0) * (z[..., 4] + 1j * z[..., 5])
-    return h_r, h_d, h_e
+    return (_gain(cfg.var_hr, _pair(z, 0)), _gain(cfg.var_hd, _pair(z, 2)),
+            _gain(cfg.var_he, _pair(z, 4)))
 
 
 def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -119,7 +134,7 @@ _CHUNK = 1 << 16
 
 
 def _chunks(cfg: EnsembleConfig):
-    """(alpha, beta, mu) for successive blocks of at most _CHUNK samples.
+    """(h_d pair, beta, mu) for successive blocks of at most _CHUNK samples.
 
     Successive standard_normal((m, 6)) calls on one generator give the same
     stream, row for row, as one (n_samples, 6) draw.
@@ -133,9 +148,11 @@ def _chunks(cfg: EnsembleConfig):
 
 def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
     # A function of its own, so the normals and gains are freed before the
-    # chunk is evaluated.
-    h_r, h_d, h_e = _gains_from_normals(cfg, z)
-    return np.abs(h_d) ** 2, np.abs(h_e) ** 2, 1.0 + p_s * np.abs(h_r) ** 2
+    # chunk is evaluated. Only alpha depends on var_hd: the pair of normals
+    # behind h_d is kept to build it for each curve.
+    beta = np.abs(_gain(cfg.var_he, _pair(z, 4))) ** 2
+    mu = 1.0 + p_s * np.abs(_gain(cfg.var_hr, _pair(z, 0))) ** 2
+    return _pair(z, 2), beta, mu
 
 
 def _moments(x: np.ndarray):
@@ -202,28 +219,38 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     return _merge((size - alpha.size, 0.0, 0.0), (alpha.size, sums, m2))
 
 
-def ergodic_sweep(cfg: EnsembleConfig) -> list[SweepRecord]:
-    """Mean secrecy capacity and consumed relay power per (strategy, budget).
+def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
+    """Mean secrecy capacity and consumed relay power per (strategy, budget),
+    for configs that differ only in var_hd.
 
-    Records are ordered strategy-major in config order, budgets ascending.
-    Each sample's values are those the kernels give it on the whole
-    ensemble; means and standard errors, merged chunk by chunk, differ from
-    one-block numpy reductions only by rounding.
+    The configs share one draw: each chunk is drawn once and only alpha is
+    built per config. Records are config-major in argument order, then
+    strategy-major in config order, budgets ascending; each config's records
+    equal those of a sweep of it alone. Each sample's values are those the
+    kernels give it on the whole ensemble; means and standard errors, merged
+    chunk by chunk, differ from one-block numpy reductions only by rounding.
     """
-    totals = dict.fromkeys(cfg.strategies, (0, 0.0, 0.0))
-    for alpha, beta, mu in _chunks(cfg):
-        for strategy in cfg.strategies:
-            chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
-            totals[strategy] = _merge(totals[strategy], chunk)
+    if not cfgs:
+        raise ValueError("ergodic_sweep needs at least one config")
+    cfg = cfgs[0]
+    if any(replace(other, var_hd=cfg.var_hd) != cfg for other in cfgs):
+        raise ValueError("configs swept together may differ only in var_hd")
+    totals = {(k, s): (0, 0.0, 0.0) for k in range(len(cfgs)) for s in cfg.strategies}
+    for pair_d, beta, mu in _chunks(cfg):
+        for k, curve in enumerate(cfgs):
+            alpha = np.abs(_gain(curve.var_hd, pair_d)) ** 2
+            for strategy in cfg.strategies:
+                chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
+                totals[k, strategy] = _merge(totals[k, strategy], chunk)
     records: list[SweepRecord] = []
-    for strategy in cfg.strategies:
-        n, sums, m2 = totals[strategy]
+    for (k, strategy), (n, sums, m2) in totals.items():
         means = sums / n
         stderrs = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros_like(m2)
         for p_r, (mean_c, mean_p), (se_c, se_p) in zip(cfg.p_r_grid, means, stderrs):
             records.append(
                 SweepRecord(
                     strategy=strategy,
+                    var_hd=cfgs[k].var_hd,
                     p_r=p_r,
                     mean_capacity=float(mean_c),
                     stderr_capacity=float(se_c),

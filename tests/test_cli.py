@@ -187,6 +187,18 @@ class TestMonteCarlo:
         assert main(MC_SMALL + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_curves_share_one_sweep(self, capsys, monkeypatch):
+        calls = []
+        sweep = cli.ergodic_sweep
+        monkeypatch.setattr(cli, "ergodic_sweep", lambda *cfgs: calls.append(cfgs) or sweep(*cfgs))
+        bodies = {}
+        for var_hd in ("1", "2", "1,2"):
+            code, out, _ = run(capsys, *MC_SMALL[:2], var_hd, *MC_SMALL[3:])
+            assert code == 0
+            bodies[var_hd] = out.split("\n", 1)[1]
+        assert bodies["1,2"] == bodies["1"] + bodies["2"]
+        assert [len(cfgs) for cfgs in calls] == [1, 1, 2]
+
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(capsys, "montecarlo", "--n-samples", "0", "--pr-points", "2")
         assert code == 1

@@ -230,3 +230,165 @@ def test_montecarlo_runs_the_same_kernels():
     assert montecarlo.df_batch is df.df_batch
     assert montecarlo._KERNELS == {Strategy.AF: af.af_batch, Strategy.DF: df.df_batch}
     assert [k.__name__ for k in montecarlo._KERNELS.values()] == ["af_batch", "df_batch"]
+
+
+# The kernels as they were before the lazy balancing gain and the masked
+# writes, kept here so that any change of a lane's value shows.
+def _frozen_exact_lanes(fn, values, redo, *args):
+    from fractions import Fraction
+
+    lanes = np.broadcast_arrays(redo, *args)
+    out = np.array(values, dtype=float)
+    out[lanes[0]] = [float(fn(*map(Fraction, map(float, vals))))
+                     for vals in zip(*(lane[lanes[0]] for lane in lanes[1:]))]
+    return out
+
+
+def _frozen_af_factors(alpha, beta, mu, consumed):
+    return (alpha - beta) / (alpha + mu / consumed), (mu - 1) / (1 + beta * consumed)
+
+
+def frozen_af_batch(alpha, beta, mu, p_r):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        consumed = np.minimum(p_r, np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta))
+        first, second = _frozen_af_factors(alpha, beta, mu, consumed)
+        gain = first * second
+        active = (alpha > beta) & (mu > 1.0)
+        redo = active & (consumed > 0.0) & ~(first >= sys.float_info.min)
+        if np.any(redo):
+            gain = _frozen_exact_lanes(lambda *v: math.prod(_frozen_af_factors(*v)), gain,
+                                       redo, alpha, beta, mu, consumed)
+        capacity = np.where(active, np.log1p(gain) * (0.5 / math.log(2.0)), 0.0)
+        consumed = np.where(active, consumed, 0.0)
+    return capacity, consumed
+
+
+def _frozen_second_hop_gain(alpha, beta, p_r):
+    return (alpha - beta) / (beta + 1 / p_r)
+
+
+def frozen_df_batch(alpha, beta, mu, p_r):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_r = np.asarray(p_r, dtype=float)
+        snr = _frozen_second_hop_gain(alpha, beta, p_r)
+        positive = alpha > beta
+        redo = positive & (p_r > 0.0) & ~(snr >= sys.float_info.min)
+        if np.any(redo):
+            snr = _frozen_exact_lanes(_frozen_second_hop_gain, snr, redo, alpha, beta, p_r)
+        first = 0.5 * np.log2(mu)
+        second = np.log1p(snr) * (0.5 / math.log(2.0))
+        capacity = np.where(positive, np.minimum(first, second), 0.0)
+        gain = np.divide(mu - 1.0, alpha - beta * mu)
+        gain = np.where(gain >= 0.0, gain, np.inf)
+        balancing = positive & (second > first) & (gain <= p_r)
+        gain = np.where(balancing, gain, np.where(positive, p_r, 0.0))
+    return capacity, gain
+
+
+def assert_same_bits(got, want):
+    """Same type, shape and value lane by lane, signed zeros included."""
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def _kernel_lanes():
+    """Random lanes and the edge cases of both kernels."""
+    rng = np.random.default_rng(42)
+    n = 3000
+    alpha = rng.exponential(2.0, n)
+    beta = rng.exponential(1.0, n)
+    mu = 1.0 + rng.exponential(10.0, n)
+    beta[:100] = alpha[:100]                              # alpha == beta
+    alpha[100:200] *= rng.uniform(0.0, 1.0, 100)          # alpha <= beta mostly
+    beta[100:200] = np.maximum(beta[100:200], alpha[100:200])
+    mu[200:300] = 1.0                                     # no first hop
+    beta[300:400] = 0.0                                   # AF never saturates
+    alpha[400:500] = 0.0
+    share = 1.0 / mu[500:600]                             # alpha <= beta*mu: DF never balances
+    beta[500:600] = alpha[500:600] * (share + (1.0 - share) * rng.uniform(0.01, 0.99, 100))
+    return alpha, beta, mu
+
+
+def _tie_budgets(alpha, beta, mu):
+    """Budgets equal to and one ulp around some lanes' DF balancing gains
+    and AF saturation budgets, where the cuts tie up to rounding."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_df = (mu - 1.0) / (alpha - beta * mu)
+        s_af = np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta)
+    ties = np.concatenate([s_df[np.isfinite(s_df) & (s_df > 0)][:15],
+                           s_af[np.isfinite(s_af) & (alpha > beta)][:5]])
+    return np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+
+
+KERNELS = [(af_batch, frozen_af_batch), (df_batch, frozen_df_batch)]
+
+
+@pytest.mark.parametrize("kernel, frozen", KERNELS)
+def test_kernels_match_frozen_expressions_on_lanes(kernel, frozen):
+    alpha, beta, mu = _kernel_lanes()
+    budgets = [0.0, 5e-324, 1e-300, 0.05, 0.3, 1.0, 2.5, 20.0, 1e3, 1e300, MAX, math.inf]
+    for p_r in budgets + list(_tie_budgets(alpha, beta, mu)):
+        assert_same_bits(kernel(alpha, beta, mu, p_r), frozen(alpha, beta, mu, p_r))
+    # Each lane's own balancing gain as its budget, where its cuts tie.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        own = np.abs((mu - 1.0) / (alpha - beta * mu))
+    own = np.where(np.isfinite(own), own, 1.0)
+    for p_r in (own, np.nextafter(own, 0.0), np.nextafter(own, np.inf)):
+        assert_same_bits(kernel(alpha, beta, mu, p_r), frozen(alpha, beta, mu, p_r))
+
+
+@pytest.mark.parametrize("kernel, frozen", KERNELS)
+def test_kernels_match_frozen_expressions_when_broadcasting(kernel, frozen):
+    alpha, beta, mu = (v[::50] for v in _kernel_lanes())
+    column = np.array([0.0, 0.5, 3.0, 40.0])[:, None]     # (k, 1) budgets
+    assert_same_bits(kernel(alpha, beta, mu, column), frozen(alpha, beta, mu, column))
+    assert_same_bits(kernel(alpha, beta, mu, np.float64(2.0)), frozen(alpha, beta, mu, 2.0))
+    assert_same_bits(kernel(alpha, 0.5, 4.0, 2.0), frozen(alpha, 0.5, 4.0, 2.0))
+    assert_same_bits(kernel(3.0, beta, mu[:, None], column[:, :, None]),
+                     frozen(3.0, beta, mu[:, None], column[:, :, None]))
+
+
+SCALAR_CASES = OVERFLOW_CASES + PRECISION_CASES + [
+    (2.0, 1.0, 3.0, 0.5), (2.0, 1.0, 3.0, 2.0),  # DF balancing gain exactly 2
+    (1.0, 2.0, 3.0, 0.5), (2.0, 2.0, 3.0, 0.5), (0.0, 0.0, 1.0, 0.0),
+    (2.0, 0.0, 1.0, 4.0), (2.0, 1.0, 1.0, 4.0), (2.0, 1.0, 3.0, 0.0), (2.0, 1.0, 3.0, math.inf),
+]
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("kernel, frozen", KERNELS)
+def test_kernels_match_frozen_expressions_on_scalars(kernel, frozen, case):
+    assert_same_bits(kernel(*case), frozen(*case))
+    zero_d = [np.float64(v) for v in case]
+    assert_same_bits(kernel(*zero_d), frozen(*zero_d))
+    lanes = [np.array([v]) for v in case]
+    assert_same_bits(kernel(*lanes), frozen(*lanes))
+
+
+def test_balancing_gain_only_on_masked_lanes():
+    alpha, beta, mu = _kernel_lanes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = df.df_balancing_gain(alpha, beta, mu)
+        ratio = (mu - 1.0) / (alpha - beta * mu)
+    assert np.array_equal(full, np.where(ratio >= 0.0, ratio, np.inf))
+    mask = np.random.default_rng(43).uniform(size=alpha.size) < 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        masked = df.df_balancing_gain(alpha, beta, mu, where=mask)
+    assert np.array_equal(masked[mask], full[mask])
+    assert np.all(masked[~mask] == np.inf)
+
+
+def test_df_batch_computes_the_gain_where_the_second_cut_is_larger(monkeypatch):
+    masks = []
+    gain = df.df_balancing_gain
+    monkeypatch.setattr(df, "df_balancing_gain",
+                        lambda *args, where: masks.append(where) or gain(*args, where=where))
+    alpha, beta, mu = _kernel_lanes()
+    df_batch(alpha, beta, mu, 2.5)
+    (mask,) = masks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = np.log1p((alpha - beta) / (beta + 1 / 2.5)) * (0.5 / math.log(2.0))
+    assert np.array_equal(mask, (alpha > beta) & (second > 0.5 * np.log2(mu)))
+    assert 0 < np.count_nonzero(mask) < alpha.size

@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EnsembleConfig(strategies=())
 
+    @pytest.mark.parametrize("field", ["seed", "n_samples"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.float64(3.0), True, np.True_, "3", None])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EnsembleConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.uint64(5), 5])
+    def test_integer_types_accepted_as_int(self, value):
+        cfg = EnsembleConfig(seed=value, n_samples=value)
+        assert type(cfg.seed) is int and type(cfg.n_samples) is int
+        assert cfg == EnsembleConfig(seed=5, n_samples=5)
+
 
 class TestSampling:
     def test_determinism(self):
@@ -225,6 +237,80 @@ class TestStreaming:
                 tracemalloc.stop()
 
         assert peak(2**19) <= peak(2**17) + 2**20
+
+
+SHARED_VARS = (1.0, 2.0, 8.0)
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("n", [1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
+                                   2 * SMALL_CHUNK + 3])
+    def test_equals_separate_sweeps(self, monkeypatch, n):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfgs = [EnsembleConfig(var_hd=v, p_r_grid=STREAM_GRID, n_samples=n, seed=25)
+                for v in SHARED_VARS]
+        records = ergodic_sweep(*cfgs)
+        assert records == [rec for cfg in cfgs for rec in ergodic_sweep(cfg)]
+        per_curve = 2 * len(STREAM_GRID)
+        assert [r.var_hd for r in records] == [v for v in SHARED_VARS for _ in range(per_curve)]
+
+    def test_each_chunk_drawn_once(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        draws = []
+        params = montecarlo._params_from_normals
+        monkeypatch.setattr(montecarlo, "_params_from_normals",
+                            lambda cfg, p_s, z: draws.append(len(z)) or params(cfg, p_s, z))
+        cfgs = [EnsembleConfig(var_hd=v, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
+                for v in SHARED_VARS]
+        ergodic_sweep(*cfgs)
+        assert draws == [SMALL_CHUNK, SMALL_CHUNK, 3]
+
+    def test_same_variance_twice(self):
+        cfg = EnsembleConfig(**SMALL)
+        once = ergodic_sweep(cfg)
+        assert ergodic_sweep(cfg, cfg) == once + once
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8},
+        {"n_samples": 2001},
+        {"var_hr": 2.0},
+        {"var_he": 0.5},
+        {"p_s_dbw": 11.0},
+        {"p_r_grid": (0.0, 0.5, 2.0, 9.0)},
+        {"strategies": (Strategy.AF,)},
+        {"strategies": (Strategy.DF, Strategy.AF)},
+    ])
+    def test_other_differences_rejected(self, change):
+        base = EnsembleConfig(**SMALL)
+        other = EnsembleConfig(**{**SMALL, "var_hd": 2.0, **change})
+        with pytest.raises(ValueError, match="only in var_hd"):
+            ergodic_sweep(base, other)
+        with pytest.raises(ValueError, match="only in var_hd"):
+            ergodic_sweep(base, base, other)
+
+    def test_chunk_keeps_no_view_of_the_normals(self):
+        # So that the (m, 6) block is freed while the curves are evaluated.
+        z = np.random.default_rng(27).standard_normal((SMALL_CHUNK, 6))
+        for kept in montecarlo._params_from_normals(EnsembleConfig(**SMALL), 10.0, z):
+            assert not np.shares_memory(kept, z)
+
+    def test_no_config_rejected(self):
+        with pytest.raises(ValueError):
+            ergodic_sweep()
+
+    def test_memory_flat_in_curve_count(self):
+        # Nearby variances, so that every curve evaluates about as many lanes.
+        def peak(curves):
+            cfgs = [EnsembleConfig(var_hd=4.0 + k / 64, p_r_grid=(0.0, 1.0, 4.0),
+                                   n_samples=2**17, seed=26) for k in range(curves)]
+            tracemalloc.start()
+            try:
+                ergodic_sweep(*cfgs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= peak(1) + 2**20
 
 
 class _SpyKernel:

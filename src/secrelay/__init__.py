@@ -9,12 +9,9 @@ fading. The `secrelay` CLI exposes compute/sweep/montecarlo/verify commands.
 from .af import (
     SecrecyResult,
     af_achievable_rate_at,
-    af_optimal_gain,
     af_secrecy_capacity,
     mutual_info_destination,
-    mutual_info_destination_mc,
     mutual_info_eavesdropper,
-    mutual_info_eavesdropper_mc,
 )
 from .channel import (
     ChannelRealization,
@@ -32,15 +29,12 @@ from .converse import (
     NoiseCorrelation,
     PSDViolationError,
     bound_objective,
-    conditional_noise_entropy,
     gain_ratio_identity_residual,
     genie_upper_bound,
     lmmse_error_variance,
-    lmmse_error_variance_mc,
     select_phi,
 )
 from .df import (
-    df_optimal_gain,
     df_secrecy_capacity,
     second_hop_secrecy_capacity,
     source_relay_capacity,
@@ -86,14 +80,11 @@ __all__ = [
     "SweepRecord",
     "af_achievable_rate_at",
     "af_batch",
-    "af_optimal_gain",
     "af_secrecy_capacity",
     "bound_objective",
-    "conditional_noise_entropy",
     "db_to_linear",
     "derive_params",
     "df_batch",
-    "df_optimal_gain",
     "df_secrecy_capacity",
     "ergodic_sweep",
     "eval_F",
@@ -105,12 +96,9 @@ __all__ = [
     "lambda_hat_bisection",
     "lambda_hat_closed_form",
     "lmmse_error_variance",
-    "lmmse_error_variance_mc",
     "maximize_on_interval",
     "mutual_info_destination",
-    "mutual_info_destination_mc",
     "mutual_info_eavesdropper",
-    "mutual_info_eavesdropper_mc",
     "pi_of_lambda",
     "sample_channel",
     "second_hop_secrecy_capacity",

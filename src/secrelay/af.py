@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, DerivedParams, PowerBudget, Strategy, gain_domain
+from .channel import DerivedParams, PowerBudget, Strategy, gain_domain
 
 __all__ = [
     "SecrecyResult",
@@ -24,11 +24,8 @@ __all__ = [
     "mutual_info_eavesdropper",
     "af_batch",
     "af_saturation_budget",
-    "af_optimal_gain",
     "af_secrecy_capacity",
     "af_achievable_rate_at",
-    "mutual_info_destination_mc",
-    "mutual_info_eavesdropper_mc",
 ]
 
 _HALF_LOG2_E = 0.5 / math.log(2.0)
@@ -136,16 +133,6 @@ def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult
     return SecrecyResult(float(capacity), consumed / params.mu, consumed, Strategy.AF)
 
 
-def af_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
-    """Secrecy-optimal squared gain x_hat.
-
-    Zero when no positive rate is possible; otherwise full power P_r/mu up to
-    the saturation budget sqrt(mu/(alpha*beta)), and the interior peak
-    1/sqrt(alpha*beta*mu) beyond it.
-    """
-    return af_secrecy_capacity(params, pb).x_hat
-
-
 def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float) -> float:
     """Secrecy rate at a fixed feasible gain, before the positive-part clamp.
 
@@ -155,52 +142,3 @@ def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float) -> f
     if not 0.0 <= x <= x_max:
         raise ValueError(f"gain x={x!r} outside the feasible domain [0, {x_max!r}]")
     return 0.5 * (mutual_info_destination(params, x) - mutual_info_eavesdropper(params, x))
-
-
-def _mi_mc(signal_coeff: complex, noise_gain: complex, n_samples: int,
-           n_batches: int, rng: np.random.Generator) -> tuple[float, float]:
-    # Sample SNR per batch through the received-signal model, then the
-    # Gaussian-channel formula; batching gives the standard error.
-    m = max(n_samples // n_batches, 1)
-    vals = np.empty(n_batches)
-    for k in range(n_batches):
-        x_s = _cn_samples(rng, m)
-        z_r = _cn_samples(rng, m)
-        z_0 = _cn_samples(rng, m)
-        sig = signal_coeff * x_s
-        noise = noise_gain * z_r + z_0
-        snr = np.mean(np.abs(sig) ** 2) / np.mean(np.abs(noise) ** 2)
-        vals[k] = math.log2(1.0 + snr)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_batches))
-
-
-def _cn_samples(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian draws."""
-    z = rng.standard_normal((n, 2))
-    return (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-
-
-def mutual_info_destination_mc(ch: ChannelRealization, pb: PowerBudget, x: float,
-                               n_samples: int = 200_000, n_batches: int = 50,
-                               rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Monte Carlo estimate (value, stderr) of the destination mutual information.
-
-    Independent of the closed form: draws the source symbol and both noise
-    stages of the destination observation and converts the sample SNR.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    omega = math.sqrt(x)
-    coeff = math.sqrt(pb.p_s) * ch.h_d * omega * ch.h_r
-    return _mi_mc(coeff, ch.h_d * omega, n_samples, n_batches, rng)
-
-
-def mutual_info_eavesdropper_mc(ch: ChannelRealization, pb: PowerBudget, x: float,
-                                n_samples: int = 200_000, n_batches: int = 50,
-                                rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Monte Carlo estimate (value, stderr) of the eavesdropper mutual information."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    omega = math.sqrt(x)
-    coeff = math.sqrt(pb.p_s) * ch.h_e * omega * ch.h_r
-    return _mi_mc(coeff, ch.h_e * omega, n_samples, n_batches, rng)

@@ -41,6 +41,8 @@ EXIT_VERIFY = 2
 # run time and memory.
 MAX_SWEEP_POINTS = 100_000
 
+_SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
+
 _SEED_ENV = "SECRELAY_SEED"
 _FAULT_ENV = "SECRELAY_FAULT_INJECT"
 
@@ -124,10 +126,7 @@ def _build_inputs(args) -> tuple[ChannelRealization, DerivedParams, PowerBudget]
 def _cmd_compute(args) -> int:
     ch, params, pb = _build_inputs(args)
     strategy = Strategy(args.strategy)
-    if strategy is Strategy.AF:
-        result = af_secrecy_capacity(params, pb)
-    else:
-        result = df_secrecy_capacity(params, pb)
+    result = _SOLVERS[strategy](params, pb)
     lines = [
         f"strategy        {strategy.value}",
         f"alpha           {_fmt(params.alpha)}",
@@ -173,11 +172,7 @@ def _cmd_sweep(args) -> int:
         for p in grid:
             p_r = db_to_linear(p) if args.db else p
             pb = PowerBudget(params.mu - 1.0, p_r)
-            res = (
-                af_secrecy_capacity(params, pb)
-                if strategy is Strategy.AF
-                else df_secrecy_capacity(params, pb)
-            )
+            res = _SOLVERS[strategy](params, pb)
             rows.append([strategy, p_r, res.capacity, res.x_hat, res.consumed_power])
     _write_text(args.out, _csv(["strategy", "p_r", "capacity", "x_hat", "consumed_power"], rows))
     return EXIT_OK
@@ -386,10 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .af import _cn_samples
 from .channel import ChannelRealization, DerivedParams, PowerBudget
 from .fractional import _blockwise, maximize_on_interval
 
@@ -27,15 +26,11 @@ __all__ = [
     "NoiseCorrelation",
     "BoundEvaluation",
     "lmmse_error_variance",
-    "conditional_noise_entropy",
     "select_phi",
     "bound_objective",
     "genie_upper_bound",
     "gain_ratio_identity_residual",
-    "lmmse_error_variance_mc",
 ]
-
-_LOG2_PI_E = math.log2(math.pi * math.e)
 
 # Slack for |phi|^2 <= 1 so the boundary choices (|phi| exactly 1 up to
 # rounding) are admitted.
@@ -89,50 +84,30 @@ def _cross_term(ch: ChannelRealization, phi: NoiseCorrelation) -> float:
     return (complex(ch.h_d) * complex(ch.h_e).conjugate() * complex(phi.phi)).real
 
 
+def _noise_determinant(params: DerivedParams, cross: float, phi2: float, t):
+    """N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*t*Re{h_d*conj(h_e)*phi}.
+
+    The determinant of the joint covariance of the destination and
+    eavesdropper outputs when the relay forwards variance t: t = x for the
+    noise alone, t = mu*x with the signal. Divided by 1 + beta*t it is the
+    variance of the destination output given the eavesdropper output.
+    `cross` is Re{h_d*conj(h_e)*phi} and `phi2` is |phi|^2.
+    """
+    return 1.0 + (params.alpha + params.beta) * t - phi2 - 2.0 * t * cross
+
+
 def lmmse_error_variance(ch: ChannelRealization, params: DerivedParams, x: float,
                          phi) -> float:
-    """Error variance of linearly estimating the destination output from the
-    eavesdropper output:
-
-        (1 + (alpha+beta)*mu*x - |phi|^2 - 2*Re{mu*x*h_d*conj(h_e)*phi}) / (1 + beta*mu*x)
-
-    Nonnegative for every admissible phi.
+    """Error variance N(mu*x) / (1 + beta*mu*x) of linearly estimating the
+    destination output from the eavesdropper output, clamped at zero so it
+    is nonnegative for every admissible phi.
     """
     phi = _as_correlation(phi)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    m = params.mu
-    num = (
-        1.0
-        + (params.alpha + params.beta) * m * x
-        - phi.abs2
-        - 2.0 * m * x * _cross_term(ch, phi)
-    )
-    return max(num, 0.0) / (1.0 + params.beta * m * x)
-
-
-def conditional_noise_entropy(ch: ChannelRealization, params: DerivedParams, x: float,
-                              phi) -> float:
-    """Differential entropy (bits) of the destination's effective noise given
-    the eavesdropper's effective noise.
-
-    Uses the complex-Gaussian convention h = log2(pi*e*sigma^2). Raises when
-    the joint noise covariance is singular.
-    """
-    phi = _as_correlation(phi)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    det = (
-        1.0
-        + (params.alpha + params.beta) * x
-        - phi.abs2
-        - 2.0 * x * _cross_term(ch, phi)
-    )
-    if det <= 0.0:
-        raise DegenerateDistributionError(
-            f"joint noise covariance determinant {det!r} is not positive"
-        )
-    return _LOG2_PI_E + math.log2(det / (1.0 + params.beta * x))
+    t = params.mu * x
+    det = _noise_determinant(params, _cross_term(ch, phi), phi.abs2, t)
+    return max(det, 0.0) / (1.0 + params.beta * t)
 
 
 def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelation:
@@ -152,21 +127,22 @@ def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelatio
 def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi):
     """Conditional-mutual-information bound at gain x and correlation phi:
 
-        0.5*log2[ (1+beta*x)/(1+beta*mu*x) * N(mu*x) / N(x) ],
-        N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*Re{t*h_d*conj(h_e)*phi}.
+        0.5*log2[ (1+beta*x)/(1+beta*mu*x) * N(mu*x) / N(x) ]
+
+    with N(t) from `_noise_determinant`.
 
     Accepts a scalar x, for which it returns a float, or a numpy array,
     evaluated in cache-sized blocks. Raises when either variance term is
     nonpositive (possible only at |phi| = 1).
     """
     phi = _as_correlation(phi)
-    a, b, m = params.alpha, params.beta, params.mu
+    b, m = params.beta, params.mu
     cross = _cross_term(ch, phi)
     phi2 = phi.abs2
 
     def value(x):
-        n_mu = 1.0 + (a + b) * m * x - phi2 - 2.0 * m * x * cross
-        n_one = 1.0 + (a + b) * x - phi2 - 2.0 * x * cross
+        n_mu = _noise_determinant(params, cross, phi2, m * x)
+        n_one = _noise_determinant(params, cross, phi2, x)
         # count_nonzero, unlike any(), is cheap on the bools of a scalar x.
         if np.count_nonzero(n_one <= 0.0) or np.count_nonzero(n_mu <= 0.0):
             raise DegenerateDistributionError("conditional variance is not positive")
@@ -199,10 +175,21 @@ def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBu
 def gain_ratio_identity_residual(params: DerivedParams, x: float) -> float:
     """Absolute gap of the rewrite that collapses the bound onto the rate:
 
-        (1+alpha*mu*x)/(1+alpha*x) == (1-beta/alpha+(alpha-beta)*mu*x)
-                                      / (1-beta/alpha+(alpha-beta)*x)
+        (1+alpha*mu*x)/(1+alpha*x) == (d+(alpha-beta)*mu*x) / (d+(alpha-beta)*x),
+        d = 1 - beta/alpha = (alpha-beta)/alpha.
 
-    Zero up to rounding whenever alpha > 0 and alpha != beta.
+    Zero up to rounding whenever alpha > 0 and alpha != beta; relative to
+    the left side it is at most about 14u = 1.6e-15, u = 2**-53. The bound
+    follows Higham, Accuracy and Stability of Numerical Algorithms (2002),
+    ch. 2-3, with gamma_n = n*u/(1-n*u):
+    - d is formed as (alpha-beta)/alpha. alpha - beta is exact when
+      beta/alpha is in [1/2, 2] (Sterbenz's lemma) and within u otherwise,
+      so d is within gamma_2. Formed as 1 - beta/alpha, the subtraction is
+      exact but the rounding of beta/alpha is not cancelled: d would carry
+      relative error up to u*beta/|alpha-beta|, unbounded as beta -> alpha.
+    - Both terms of each sum have the sign of alpha - beta (on the left,
+      are positive), so no sum cancels, and each side is within gamma_8
+      (right) and gamma_6 (left) of the same exact value.
     """
     a, b, m = params.alpha, params.beta, params.mu
     if a == 0.0:
@@ -210,37 +197,7 @@ def gain_ratio_identity_residual(params: DerivedParams, x: float) -> float:
     if a == b:
         raise ValueError("identity requires alpha != beta")
     lhs = (1.0 + a * m * x) / (1.0 + a * x)
-    rhs = (1.0 - b / a + (a - b) * m * x) / (1.0 - b / a + (a - b) * x)
+    gap = a - b
+    d = gap / a
+    rhs = (d + gap * m * x) / (d + gap * x)
     return abs(lhs - rhs)
-
-
-def lmmse_error_variance_mc(ch: ChannelRealization, pb: PowerBudget, x: float,
-                            phi, n_samples: int = 1_000_000, n_batches: int = 100,
-                            rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Sample-covariance estimate (value, stderr) of the LMMSE error variance.
-
-    Simulates both receiver outputs through the relay including the noise
-    cross-correlation, then forms Var(y_d) - |Cov(y_d, y_e)|^2 / Var(y_e) per
-    batch. Independent of the closed form above.
-    """
-    phi = _as_correlation(phi)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    omega = math.sqrt(x)
-    p = complex(phi.phi)
-    resid = math.sqrt(max(1.0 - phi.abs2, 0.0))
-    m = max(n_samples // n_batches, 1)
-    vals = np.empty(n_batches)
-    for k in range(n_batches):
-        x_s = _cn_samples(rng, m)
-        z_r = _cn_samples(rng, m)
-        z_d = _cn_samples(rng, m)
-        w = _cn_samples(rng, m)
-        z_e = p * z_d + resid * w  # E[z_d * conj(z_e)] = conj(phi)
-        y_d = math.sqrt(pb.p_s) * ch.h_d * omega * ch.h_r * x_s + ch.h_d * omega * z_r + z_d
-        y_e = math.sqrt(pb.p_s) * ch.h_e * omega * ch.h_r * x_s + ch.h_e * omega * z_r + z_e
-        var_d = np.mean(np.abs(y_d) ** 2)
-        var_e = np.mean(np.abs(y_e) ** 2)
-        cov = np.mean(y_d * np.conj(y_e))
-        vals[k] = var_d - abs(cov) ** 2 / var_e
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_batches))

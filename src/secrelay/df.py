@@ -21,7 +21,6 @@ __all__ = [
     "second_hop_secrecy_capacity",
     "df_batch",
     "df_balancing_gain",
-    "df_optimal_gain",
     "df_secrecy_capacity",
 ]
 
@@ -113,7 +112,3 @@ def df_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult
     x_hat = float(x_hat)
     return SecrecyResult(float(capacity), x_hat, x_hat, Strategy.DF)
 
-
-def df_optimal_gain(params: DerivedParams, pb: PowerBudget) -> float:
-    """Optimal squared gain: zero, full power, or the cut-balancing value."""
-    return df_secrecy_capacity(params, pb).x_hat

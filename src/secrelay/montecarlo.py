@@ -155,12 +155,16 @@ def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
     return _pair(z, 2), beta, mu
 
 
-def _moments(x: np.ndarray):
-    """(count, sums, M2) of the rows of x: pairwise sums, two-pass M2."""
-    n = x.shape[-1]
-    sums = x.sum(axis=-1)
-    dev = x - (sums / max(n, 1))[..., None]
-    return n, sums, np.square(dev, out=dev).sum(axis=-1)
+def _moments(rows):
+    """(count, sums, M2) of each of the equal-length arrays in rows:
+    pairwise sums, two-pass M2."""
+    n = rows[0].size
+    sums = np.array([row.sum() for row in rows])
+    m2 = np.empty_like(sums)
+    for k, row in enumerate(rows):
+        dev = row - sums[k] / max(n, 1)
+        m2[k] = np.square(dev, out=dev).sum()
+    return n, sums, m2
 
 
 def _merge(a, b):
@@ -209,12 +213,12 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     settled = (0, 0.0, 0.0)
     done = 0
     for i, (p_r, j) in enumerate(zip(grid, below)):
-        values = np.array(kernel(alpha[done:], beta[done:], mu[done:], p_r))
-        _, sums[i], m2[i] = _merge(settled, _moments(values))
-        settles = values[1, : j - done] == threshold[done:j]
+        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r)
+        _, sums[i], m2[i] = _merge(settled, _moments(rows))
+        settles = rows[1][: j - done] == threshold[done:j]
         count = settles.size if settles.all() else int(np.argmin(settles))
         if count:
-            settled = _merge(settled, _moments(values[:, :count]))
+            settled = _merge(settled, _moments([row[:count] for row in rows]))
             done += count
     return _merge((size - alpha.size, 0.0, 0.0), (alpha.size, sums, m2))
 

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from mc_estimators import lmmse_error_variance_mc
 from secrelay.channel import ChannelRealization, PowerBudget, Strategy, derive_params
 from secrelay.cli import main
-from secrelay.converse import NoiseCorrelation, lmmse_error_variance, lmmse_error_variance_mc
+from secrelay.converse import NoiseCorrelation, lmmse_error_variance
 from secrelay.montecarlo import EnsembleConfig, ergodic_sweep
 from secrelay.verify import (
     converse_tightness,

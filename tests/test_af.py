@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mc_estimators import mutual_info_destination_mc, mutual_info_eavesdropper_mc
 from secrelay.af import (
     af_achievable_rate_at,
-    af_optimal_gain,
     af_secrecy_capacity,
     mutual_info_destination,
-    mutual_info_destination_mc,
     mutual_info_eavesdropper,
-    mutual_info_eavesdropper_mc,
 )
 from secrelay.channel import ChannelRealization, DerivedParams, PowerBudget, Strategy
 from secrelay.fractional import RatioQuadraticProblem, grid_oracle, lambda_hat_closed_form
@@ -59,19 +57,20 @@ class TestMutualInfo:
 
 class TestOptimalGain:
     def test_weak_destination(self):
-        assert af_optimal_gain(DerivedParams(1.0, 2.0, 5.0), PowerBudget(1.0, 3.0)) == 0.0
+        assert af_secrecy_capacity(DerivedParams(1.0, 2.0, 5.0), PowerBudget(1.0, 3.0)).x_hat == 0.0
 
     def test_full_power_regime(self):
         # P_r = 0.5 <= sqrt(mu/(alpha*beta)) = sqrt(0.5).
-        assert af_optimal_gain(PARAMS, PowerBudget(1.0, 0.5)) == 0.25
+        assert af_secrecy_capacity(PARAMS, PowerBudget(1.0, 0.5)).x_hat == 0.25
 
     def test_saturated_regime(self):
-        assert af_optimal_gain(PARAMS, PowerBudget(1.0, 10.0)) == pytest.approx(
+        assert af_secrecy_capacity(PARAMS, PowerBudget(1.0, 10.0)).x_hat == pytest.approx(
             1.0 / math.sqrt(8.0), abs=1e-15
         )
 
     def test_zero_eavesdropper_uses_full_power(self):
-        assert af_optimal_gain(DerivedParams(4.0, 0.0, 2.0), PowerBudget(1.0, 10.0)) == 5.0
+        res = af_secrecy_capacity(DerivedParams(4.0, 0.0, 2.0), PowerBudget(1.0, 10.0))
+        assert res.x_hat == 5.0
 
 
 class TestSecrecyCapacity:
@@ -170,7 +169,7 @@ class TestAchievableRate:
         rng = np.random.default_rng(205)
         for _ in range(100):
             params, pb = random_case(rng)
-            best = af_achievable_rate_at(params, pb, af_optimal_gain(params, pb))
+            best = af_achievable_rate_at(params, pb, af_secrecy_capacity(params, pb).x_hat)
             x_max = pb.p_r / params.mu
             for x in np.linspace(0.0, x_max, 25):
                 assert best >= af_achievable_rate_at(params, pb, float(x)) - 1e-12

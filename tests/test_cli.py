@@ -304,6 +304,13 @@ class TestVerify:
         assert "PASS" not in out
         assert "draws" in err
 
+    def test_near_cancelling_ratio_identity_seed_passes(self, capsys):
+        # This seed draws beta/alpha = 1 - 1.4e-5 in ratio_identity, where
+        # forming 1 - beta/alpha cancels to a 1.28e-12 relative residual.
+        code, out, _ = run(capsys, "verify", "--draws", "200", "--seed", "9468588589655178845")
+        assert "PASS  ratio_identity" in out
+        assert code == 0
+
     def test_suite_without_evaluated_draws_fails(self):
         res = solver_consistency(0, np.random.default_rng(3))
         assert res.evaluated == 0

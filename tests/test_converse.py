@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from secrelay import fractional
+from mc_estimators import lmmse_error_variance_mc
+from secrelay import converse, fractional
 from secrelay.af import af_achievable_rate_at, af_secrecy_capacity
 from secrelay.channel import ChannelRealization, DerivedParams, PowerBudget, derive_params
 from secrelay.converse import (
@@ -11,15 +12,11 @@ from secrelay.converse import (
     NoiseCorrelation,
     PSDViolationError,
     bound_objective,
-    conditional_noise_entropy,
     gain_ratio_identity_residual,
     genie_upper_bound,
     lmmse_error_variance,
-    lmmse_error_variance_mc,
     select_phi,
 )
-
-LOG2_PI_E = math.log2(math.pi * math.e)
 
 # h_r=1, h_d=2, h_e=1 with P_s=1: alpha=4, beta=1, mu=2.
 CH = ChannelRealization(1.0, 2.0, 1.0)
@@ -52,8 +49,6 @@ class TestPSDGate:
     def test_ops_reject_raw_overcorrelated_phi(self):
         with pytest.raises(PSDViolationError):
             lmmse_error_variance(CH, PARAMS, 0.1, 1.5)
-        with pytest.raises(PSDViolationError):
-            conditional_noise_entropy(CH, PARAMS, 0.1, 1.5)
         with pytest.raises(PSDViolationError):
             bound_objective(CH, PARAMS, 0.1, 1.5)
 
@@ -95,15 +90,16 @@ class TestLMMSEVariance:
 
 
 class TestConditionalEntropy:
+    """The conditional noise variance N(x)/(1+beta*x), whose log2(pi*e*...) is
+    the conditional noise entropy of the bound. It is `lmmse_error_variance`
+    at gain x/mu, whose N(mu*(x/mu)) is N(x)."""
+
     def test_no_relay_signal(self):
         phi = NoiseCorrelation(0.5)
-        expected = math.log2(math.pi * math.e * 0.75)
-        assert conditional_noise_entropy(CH, PARAMS, 0.0, phi) == pytest.approx(expected, rel=1e-15)
+        assert lmmse_error_variance(CH, PARAMS, 0.0, phi) == pytest.approx(0.75, rel=1e-15)
 
     def test_independent_unit_noise(self):
-        assert conditional_noise_entropy(CH, PARAMS, 0.0, 0.0) == pytest.approx(
-            LOG2_PI_E, rel=1e-15
-        )
+        assert lmmse_error_variance(CH, PARAMS, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_reference_point_matches_determinant(self):
         # Oracle: determinant of the effective-noise covariance matrix.
@@ -115,14 +111,14 @@ class TestConditionalEntropy:
             ]
         )
         det = float(np.linalg.det(k).real)
-        expected = math.log2(math.pi * math.e * det / (1.0 + 1.0 * x))
-        got = conditional_noise_entropy(CH, PARAMS, x, phi)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(LOG2_PI_E + math.log2(1.2), rel=1e-12)
+        got = lmmse_error_variance(CH, PARAMS, x / PARAMS.mu, phi)
+        assert got == pytest.approx(det / (1.0 + 1.0 * x), rel=1e-12)
+        assert got == pytest.approx(1.2, rel=1e-12)
 
     def test_degenerate_covariance_rejected(self):
+        # |phi| = 1 makes the noise covariance singular whatever the phase.
         with pytest.raises(DegenerateDistributionError):
-            conditional_noise_entropy(CH, PARAMS, 0.0, complex(0.0, 1.0))
+            bound_objective(CH, PARAMS, 0.0, complex(0.0, 1.0))
 
     def test_determinant_nonnegative_for_admissible_phi(self):
         rng = np.random.default_rng(42)
@@ -130,13 +126,8 @@ class TestConditionalEntropy:
             ch, params, _ = random_channel(rng)
             phi = random_phi(rng, r_max=1.0)
             x = rng.uniform(0.0, 5.0)
-            det = (
-                1.0
-                + (params.alpha + params.beta) * x
-                - phi.abs2
-                - 2.0 * x * (complex(ch.h_d) * complex(ch.h_e).conjugate() * phi.phi).real
-            )
-            assert det >= -1e-12
+            cross = converse._cross_term(ch, phi)
+            assert converse._noise_determinant(params, cross, phi.abs2, x) >= -1e-12
 
 
 class TestSelectPhi:
@@ -285,6 +276,15 @@ class TestGainRatioIdentity:
 
     def test_mu_one(self):
         assert gain_ratio_identity_residual(DerivedParams(4.0, 1.0, 1.0), 3.0) <= 1e-15
+
+    def test_near_cancellation_within_rounding_bound(self):
+        # The ratio_identity draw of `secrelay verify --draws 200 --seed
+        # 9468588589655178845`, beta/alpha = 1 - 1.4e-5. The docstring bounds
+        # the residual by about 14 units of 2**-53 relative to the left side.
+        a, b = 0.4360221745830397, 0.43601608942034314
+        m, x = 7.7961142380176405, 2.6291177168475297
+        lhs = (1.0 + a * m * x) / (1.0 + a * x)
+        assert gain_ratio_identity_residual(DerivedParams(a, b, m), x) <= 16 * 2.0**-53 * lhs
 
     def test_random_draws(self):
         rng = np.random.default_rng(46)

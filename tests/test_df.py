@@ -6,7 +6,6 @@ import pytest
 from secrelay.af import af_secrecy_capacity
 from secrelay.channel import DerivedParams, PowerBudget, Strategy
 from secrelay.df import (
-    df_optimal_gain,
     df_secrecy_capacity,
     second_hop_secrecy_capacity,
     source_relay_capacity,
@@ -69,9 +68,9 @@ class TestCapacity:
         )
 
     def test_gain_branches(self):
-        assert df_optimal_gain(DerivedParams(1.0, 4.0, 2.0), PowerBudget(1.0, 1.0)) == 0.0
-        assert df_optimal_gain(DerivedParams(4.0, 1.0, 2.0), PowerBudget(1.0, 1.0)) == 0.5
-        assert df_optimal_gain(DerivedParams(4.0, 1.0, 8.0), PowerBudget(1.0, 1.0)) == 1.0
+        assert df_secrecy_capacity(DerivedParams(1.0, 4.0, 2.0), PowerBudget(1.0, 1.0)).x_hat == 0.0
+        assert df_secrecy_capacity(DerivedParams(4.0, 1.0, 2.0), PowerBudget(1.0, 1.0)).x_hat == 0.5
+        assert df_secrecy_capacity(DerivedParams(4.0, 1.0, 8.0), PowerBudget(1.0, 1.0)).x_hat == 1.0
 
 
 class TestProperties:
@@ -93,7 +92,7 @@ class TestProperties:
             ratio = (1.0 + params.alpha * pb.p_r) / (1.0 + params.beta * pb.p_r)
             if not (params.alpha > params.beta and ratio > params.mu):
                 continue
-            x = df_optimal_gain(params, pb)
+            x = df_secrecy_capacity(params, pb).x_hat
             balanced = math.log2((1.0 + params.alpha * x) / (1.0 + params.beta * x))
             assert abs(balanced - math.log2(params.mu)) <= 1e-12
 

@@ -93,8 +93,8 @@ def af_saturation_budget(alpha, beta, mu):
     return np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta)
 
 
-def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
-             p_r: float) -> tuple[np.ndarray, np.ndarray]:
+def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
+             saturation_budget=None) -> tuple[np.ndarray, np.ndarray]:
     """AF (capacity, consumed power), lanewise over arrays or scalars.
 
     The only AF capacity formula in the package. With x_hat = min(P_r/mu,
@@ -103,12 +103,16 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
         0.5*log2(1 + (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x)),
 
     zero when alpha <= beta or mu == 1. log1p keeps small capacities at full
-    relative precision.
+    relative precision. `saturation_budget`, if given, must be
+    `af_saturation_budget(alpha, beta, mu)`; a caller that evaluates the
+    same lanes at several budgets passes it to save recomputing it.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if saturation_budget is None:
+            saturation_budget = af_saturation_budget(alpha, beta, mu)
         # Consumed power mu*x_hat: the budget itself up to the saturation
         # budget, so consumed <= p_r holds exactly.
-        consumed = np.minimum(p_r, af_saturation_budget(alpha, beta, mu))
+        consumed = np.minimum(p_r, saturation_budget)
         # Where alpha > beta the first factor lies in [0, 1] and the second
         # in [0, mu-1] (beta*mu*x_hat < sqrt(mu)), so neither overflows. At
         # extreme scales the first can still leave the normal range; those

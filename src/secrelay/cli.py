@@ -37,8 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
-# Most budget points one `sweep` or `montecarlo` run evaluates; bounds its
-# run time and memory.
+# Most budget points one `sweep` or `montecarlo` run evaluates (for
+# `montecarlo`, curves x budgets per curve); bounds its run time and memory.
 MAX_SWEEP_POINTS = 100_000
 
 _SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
@@ -253,6 +253,9 @@ def _cmd_montecarlo(args) -> int:
         raise _UsageError("var_hd list must not be empty")
     if not 1 <= settings["pr_points"] <= MAX_SWEEP_POINTS:
         raise _UsageError(f"pr_points must be between 1 and {MAX_SWEEP_POINTS}")
+    if len(var_hd_list) * settings["pr_points"] > MAX_SWEEP_POINTS:
+        raise _UsageError(f"{len(var_hd_list)} var_hd curves x {settings['pr_points']} pr_points "
+                          f"exceed {MAX_SWEEP_POINTS} budget points per run")
     grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
     strategies = _parse_strategies(str(settings["strategies"]))
     cfgs = [
@@ -352,7 +355,9 @@ def _build_parser() -> _Parser:
     mc = sub.add_parser("montecarlo", help="ergodic sweeps over Rayleigh fading")
     mc.add_argument("--config", help="key=value config file ('#' comments)")
     mc.add_argument("--var-hr", dest="var_hr", type=float)
-    mc.add_argument("--var-hd", dest="var_hd", help="comma list of variances, one curve each")
+    mc.add_argument("--var-hd", dest="var_hd",
+                    help="comma list of variances, one curve each; curves x --pr-points "
+                         f"at most {MAX_SWEEP_POINTS}")
     mc.add_argument("--var-he", dest="var_he", type=float)
     mc.add_argument("--ps-dbw", dest="p_s_dbw", type=float)
     mc.add_argument("--pr-start", dest="pr_start", type=float)

@@ -21,6 +21,7 @@ __all__ = [
     "second_hop_secrecy_capacity",
     "df_batch",
     "df_balancing_gain",
+    "df_first_cut",
     "df_secrecy_capacity",
 ]
 
@@ -71,8 +72,13 @@ def df_balancing_gain(alpha, beta, mu, where=True):
     return gain
 
 
-def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
-             p_r: float) -> tuple[np.ndarray, np.ndarray]:
+def df_first_cut(mu):
+    """Half the first-hop cut, 0.5*log2(mu): the DF capacity's ceiling."""
+    return 0.5 * np.log2(mu)
+
+
+def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
+             balancing_gain=None, first_cut=None) -> tuple[np.ndarray, np.ndarray]:
     """DF (capacity, consumed power), lanewise over arrays or scalars.
 
     The only DF capacity formula in the package:
@@ -80,6 +86,11 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
     alpha <= beta. Consumed power equals the squared gain because the
     re-encoded symbol has unit power: full power, or the cut-balancing gain
     (mu-1)/(alpha-beta*mu) when the second hop is the stronger cut.
+
+    `balancing_gain` and `first_cut`, if given, must be
+    `df_balancing_gain(alpha, beta, mu)` and `df_first_cut(mu)`; a caller
+    that evaluates the same lanes at several budgets passes them to save
+    recomputing them.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_r = np.asarray(p_r, dtype=float)
@@ -92,7 +103,7 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
             if np.any(redo):
                 snr = _exact_lanes(_second_hop_gain, snr, redo, alpha, beta, p_r)
         # Half of each cut, rounded the way af_batch rounds its capacity.
-        first = 0.5 * np.log2(mu)
+        first = df_first_cut(mu) if first_cut is None else first_cut
         second = np.log1p(snr) * _HALF_LOG2_E
         capacity = _zero_outside(np.minimum(first, second), positive)
         # Full power, or the balancing gain, computed only where the second
@@ -101,7 +112,8 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray,
         consumed = _zero_outside(np.full_like(capacity, p_r), positive)
         balancing = positive & (second > first)
         if np.any(balancing):
-            gain = df_balancing_gain(alpha, beta, mu, where=balancing)
+            gain = (df_balancing_gain(alpha, beta, mu, where=balancing)
+                    if balancing_gain is None else balancing_gain)
             np.copyto(consumed, gain, where=balancing & (gain <= p_r))
     return capacity, consumed
 

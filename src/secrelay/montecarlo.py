@@ -10,22 +10,27 @@ Randomness comes from numpy's default PCG64 generator seeded with the 64-bit
 config seed. Samples are drawn in chunks of _CHUNK rows of six standard
 normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
-implementation. A sweep holds one chunk at a time, so its memory does not
-grow with the sample count or the number of variances, and evaluates the
-kernels only on samples whose output still depends on the budget.
+implementation. A sweep holds the chunk it evaluates and the normals of the
+next one, which one helper thread draws meanwhile (numpy's Generator
+releases the GIL for the fill), so its memory does not grow with the sample
+count or the number of variances. It evaluates the kernels only on samples
+whose output still depends on the budget, and hands them the per-sample
+terms that do not depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .af import af_batch, af_saturation_budget
 from .channel import ChannelRealization, Strategy, db_to_linear
-from .df import df_balancing_gain, df_batch
+from .df import df_balancing_gain, df_batch, df_first_cut
 
 __all__ = [
     "EnsembleConfig",
@@ -128,6 +133,15 @@ def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelReal
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 _THRESHOLDS = {Strategy.AF: af_saturation_budget, Strategy.DF: df_balancing_gain}
 
+
+def _kernel_terms(strategy: Strategy, threshold, mu) -> dict:
+    """The kernel's keyword terms that do not depend on the budget, for lanes
+    with the given threshold and mu."""
+    if strategy is Strategy.AF:
+        return {"saturation_budget": threshold}
+    return {"balancing_gain": threshold, "first_cut": df_first_cut(mu)}
+
+
 # Samples drawn and evaluated at a time. Larger chunks spend less time on
 # per-budget call overhead but hold more memory.
 _CHUNK = 1 << 16
@@ -136,20 +150,63 @@ _CHUNK = 1 << 16
 def _chunks(cfg: EnsembleConfig):
     """(h_d pair, beta, mu) for successive blocks of at most _CHUNK samples.
 
-    Successive standard_normal((m, 6)) calls on one generator give the same
-    stream, row for row, as one (n_samples, 6) draw.
+    Successive standard_normal calls on one generator give the same stream,
+    row for row, as one (n_samples, 6) draw. A helper thread draws each
+    block into a buffer allocated here while the caller works on the block
+    before; the buffer is dropped as soon as the block's terms are copied
+    out of it. Close the generator to stop and join the helper; a draw
+    error is raised here.
     """
     rng = np.random.default_rng(cfg.seed)
     p_s = db_to_linear(cfg.p_s_dbw)
-    for start in range(0, cfg.n_samples, _CHUNK):
-        yield _params_from_normals(cfg, p_s, rng.standard_normal(
-            (min(_CHUNK, cfg.n_samples - start), 6)))
+    sizes = [min(_CHUNK, cfg.n_samples - start) for start in range(0, cfg.n_samples, _CHUNK)]
+    # slot[0] is the buffer the helper fills next, or None to stop it. It is
+    # written here before `handed` is released, and read by the helper only
+    # after acquiring `handed`.
+    slot = [np.empty((sizes[0], 6))]
+    handed, drawn, errors = threading.Semaphore(1), threading.Semaphore(0), []
+    helper = threading.Thread(target=_draw_ahead, args=(rng, slot, handed, drawn, errors),
+                              daemon=True)
+    helper.start()
+    try:
+        for m_next in sizes[1:] + [0]:
+            drawn.acquire()
+            if errors:
+                raise errors[0]
+            params = _params_from_normals(cfg, p_s, slot[0])
+            slot[0] = None  # freed before the next buffer is allocated
+            slot[0] = np.empty((m_next, 6)) if m_next else None
+            handed.release()
+            yield params
+    finally:
+        slot[0] = None
+        handed.release()
+        helper.join()
+
+
+def _draw_ahead(rng, slot, handed, drawn, errors):
+    # Helper thread: fill each buffer handed over in slot[0] with the next
+    # rows of normals, until it is None. It allocates no array and keeps no
+    # reference to a filled buffer.
+    while True:
+        handed.acquire()
+        z = slot[0]
+        if z is None:
+            return
+        try:
+            rng.standard_normal(out=z)
+        except BaseException as exc:  # re-raised by the caller, never lost
+            errors.append(exc)
+            return
+        finally:
+            z = None
+            drawn.release()
 
 
 def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
-    # A function of its own, so the normals and gains are freed before the
-    # chunk is evaluated. Only alpha depends on var_hd: the pair of normals
-    # behind h_d is kept to build it for each curve.
+    # Every array returned is a copy, so that z is freed before the chunk is
+    # evaluated. Only alpha depends on var_hd: the pair of normals behind
+    # h_d is kept to build it for each curve.
     beta = np.abs(_gain(cfg.var_he, _pair(z, 4))) ** 2
     mu = 1.0 + p_s * np.abs(_gain(cfg.var_hr, _pair(z, 0))) ** 2
     return _pair(z, 2), beta, mu
@@ -206,14 +263,17 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
         threshold = _THRESHOLDS[strategy](alpha, beta, mu)
     order = np.argsort(threshold)
     threshold, alpha, beta, mu = (v.take(order) for v in (threshold, alpha, beta, mu))
+    del lanes, order  # not held through the budget loop
     below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
     kernel = _KERNELS[strategy]
+    terms = _kernel_terms(strategy, threshold, mu)
     sums = np.empty((len(grid), 2))
     m2 = np.empty((len(grid), 2))
     settled = (0, 0.0, 0.0)
     done = 0
     for i, (p_r, j) in enumerate(zip(grid, below)):
-        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r)
+        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r,
+                      **{name: term[done:] for name, term in terms.items()})
         _, sums[i], m2[i] = _merge(settled, _moments(rows))
         settles = rows[1][: j - done] == threshold[done:j]
         count = settles.size if settles.all() else int(np.argmin(settles))
@@ -240,12 +300,13 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
     if any(replace(other, var_hd=cfg.var_hd) != cfg for other in cfgs):
         raise ValueError("configs swept together may differ only in var_hd")
     totals = {(k, s): (0, 0.0, 0.0) for k in range(len(cfgs)) for s in cfg.strategies}
-    for pair_d, beta, mu in _chunks(cfg):
-        for k, curve in enumerate(cfgs):
-            alpha = np.abs(_gain(curve.var_hd, pair_d)) ** 2
-            for strategy in cfg.strategies:
-                chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
-                totals[k, strategy] = _merge(totals[k, strategy], chunk)
+    with closing(_chunks(cfg)) as chunks:
+        for pair_d, beta, mu in chunks:
+            for k, curve in enumerate(cfgs):
+                alpha = np.abs(_gain(curve.var_hd, pair_d)) ** 2
+                for strategy in cfg.strategies:
+                    chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
+                    totals[k, strategy] = _merge(totals[k, strategy], chunk)
     records: list[SweepRecord] = []
     for (k, strategy), (n, sums, m2) in totals.items():
         means = sums / n

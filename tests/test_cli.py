@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secrelay
 from secrelay import cli
 from secrelay.cli import main
 from secrelay.verify import solver_consistency
@@ -234,6 +239,33 @@ class TestMonteCarlo:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 2 * 5
 
+    def test_run_point_limit_counts_curves_inclusively(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 6)
+        argv = ["montecarlo", "--pr-stop", "4", "--n-samples", "10", "--seed", "11"]
+        code, out, _ = run(capsys, *argv, "--var-hd", "1,2", "--pr-points", "3")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 2 * 3
+        for curves, points in (("1,2,4", "3"), ("1,2", "4")):
+            code, out, err = run(capsys, *argv, "--var-hd", curves, "--pr-points", points)
+            assert code == 1
+            assert out == ""
+            n = len(curves.split(","))
+            assert err.startswith("error:")
+            assert f"{n} var_hd curves x {points} pr_points exceed 6" in err
+
+    def test_run_point_limit_from_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 6)
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("var_hd = 1,2,4\npr_points = 3\nn_samples = 10\n")
+        code, out, err = run(capsys, "montecarlo", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "3 var_hd curves x 3 pr_points exceed 6" in err
+        cfg.write_text("var_hd = 1,2,4\npr_points = 2\nn_samples = 10\n")
+        code, out, _ = run(capsys, "montecarlo", "--config", str(cfg))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 3 * 2
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -354,3 +386,14 @@ class TestParsing:
             "--hr", "1,2,3", "--hd", "2", "--he", "1", "--ps", "1", "--pr", "1",
         )
         assert code == 1
+
+
+def test_import_leaves_out_costly_stdlib_modules():
+    # concurrent.futures pulls in logging; json and logging are for opt-in
+    # output only. Each would add to every command's start-up time.
+    costly = ("concurrent.futures", "logging", "json")
+    code = f"import sys, secrelay.cli; print([m for m in {costly!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(secrelay.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

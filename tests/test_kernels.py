@@ -325,17 +325,22 @@ def _tie_budgets(alpha, beta, mu):
 KERNELS = [(af_batch, frozen_af_batch), (df_batch, frozen_df_batch)]
 
 
-@pytest.mark.parametrize("kernel, frozen", KERNELS)
-def test_kernels_match_frozen_expressions_on_lanes(kernel, frozen):
-    alpha, beta, mu = _kernel_lanes()
+def _lane_budgets(alpha, beta, mu):
+    """Budgets for `_kernel_lanes`: subnormal to inf, at and one ulp around
+    some lanes' thresholds, and each lane's own balancing gain as its budget,
+    where its cuts tie."""
     budgets = [0.0, 5e-324, 1e-300, 0.05, 0.3, 1.0, 2.5, 20.0, 1e3, 1e300, MAX, math.inf]
-    for p_r in budgets + list(_tie_budgets(alpha, beta, mu)):
-        assert_same_bits(kernel(alpha, beta, mu, p_r), frozen(alpha, beta, mu, p_r))
-    # Each lane's own balancing gain as its budget, where its cuts tie.
     with np.errstate(divide="ignore", invalid="ignore"):
         own = np.abs((mu - 1.0) / (alpha - beta * mu))
     own = np.where(np.isfinite(own), own, 1.0)
-    for p_r in (own, np.nextafter(own, 0.0), np.nextafter(own, np.inf)):
+    return budgets + list(_tie_budgets(alpha, beta, mu)) + [
+        own, np.nextafter(own, 0.0), np.nextafter(own, np.inf)]
+
+
+@pytest.mark.parametrize("kernel, frozen", KERNELS)
+def test_kernels_match_frozen_expressions_on_lanes(kernel, frozen):
+    alpha, beta, mu = _kernel_lanes()
+    for p_r in _lane_budgets(alpha, beta, mu):
         assert_same_bits(kernel(alpha, beta, mu, p_r), frozen(alpha, beta, mu, p_r))
 
 
@@ -392,3 +397,56 @@ def test_df_batch_computes_the_gain_where_the_second_cut_is_larger(monkeypatch):
         second = np.log1p((alpha - beta) / (beta + 1 / 2.5)) * (0.5 / math.log(2.0))
     assert np.array_equal(mask, (alpha > beta) & (second > 0.5 * np.log2(mu)))
     assert 0 < np.count_nonzero(mask) < alpha.size
+
+
+def kernel_terms(kernel, alpha, beta, mu):
+    """The budget-independent keyword terms of `kernel`, as the Monte Carlo
+    sweep passes them."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kernel is af_batch:
+            return {"saturation_budget": af.af_saturation_budget(alpha, beta, mu)}
+        return {"balancing_gain": df.df_balancing_gain(alpha, beta, mu),
+                "first_cut": df.df_first_cut(mu)}
+
+
+def assert_terms_change_no_bit(kernel, alpha, beta, mu, p_r):
+    given = kernel(alpha, beta, mu, p_r, **kernel_terms(kernel, alpha, beta, mu))
+    assert_same_bits(given, kernel(alpha, beta, mu, p_r))
+
+
+@pytest.mark.parametrize("kernel, module", [(af_batch, af), (df_batch, df)])
+def test_given_terms_change_no_bit_on_lanes(monkeypatch, kernel, module):
+    exact = module._exact_lanes
+    redone = []
+    monkeypatch.setattr(module, "_exact_lanes", lambda *a: redone.append(1) or exact(*a))
+    alpha, beta, mu = _kernel_lanes()
+    for p_r in _lane_budgets(alpha, beta, mu):
+        assert_terms_change_no_bit(kernel, alpha, beta, mu, p_r)
+    assert redone  # the subnormal budgets send lanes to the exact fallback
+    alpha, beta, mu = (v[::50] for v in (alpha, beta, mu))
+    column = np.array([0.0, 0.5, 3.0, 40.0])[:, None]     # (k, 1) budgets
+    assert_terms_change_no_bit(kernel, alpha, beta, mu, column)
+    assert_terms_change_no_bit(kernel, 3.0, beta, mu[:, None], column[:, :, None])
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+@pytest.mark.parametrize("kernel", [af_batch, df_batch])
+def test_given_terms_change_no_bit_on_scalars(kernel, case):
+    assert_terms_change_no_bit(kernel, *case)
+    assert_terms_change_no_bit(kernel, *(np.float64(v) for v in case))
+    assert_terms_change_no_bit(kernel, *(np.array([v]) for v in case))
+
+
+def test_given_terms_are_not_recomputed(monkeypatch):
+    alpha, beta, mu = _kernel_lanes()
+    af_terms = kernel_terms(af_batch, alpha, beta, mu)
+    df_terms = kernel_terms(df_batch, alpha, beta, mu)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a given term was recomputed")
+
+    monkeypatch.setattr(af, "af_saturation_budget", fail)
+    for name in ("df_balancing_gain", "df_first_cut"):
+        monkeypatch.setattr(df, name, fail)
+    af_batch(alpha, beta, mu, 2.5, **af_terms)
+    df_batch(alpha, beta, mu, 2.5, **df_terms)

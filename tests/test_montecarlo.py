@@ -1,5 +1,9 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,15 +317,118 @@ class TestSharedDraw:
         assert peak(16) <= peak(1) + 2**20
 
 
+class _DrawError(RuntimeError):
+    pass
+
+
+class _SlowAllocation:
+    """numpy for the sweep's own calls, with np.empty sleeping first."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        time.sleep(1e-3)
+        return np.empty(*args, **kwargs)
+
+
+class TestDrawThread:
+    """One helper thread draws the next chunk while the caller evaluates one."""
+
+    CFG = EnsembleConfig(**{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
+
+    def test_one_helper_during_the_sweep_joined_after(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        baseline = threading.active_count()
+        seen = []
+        kernel = montecarlo._KERNELS[Strategy.AF]
+        monkeypatch.setitem(montecarlo._KERNELS, Strategy.AF, lambda *a, **k: (
+            seen.append(threading.active_count()) or kernel(*a, **k)))
+        ergodic_sweep(self.CFG)
+        assert seen and set(seen) <= {baseline, baseline + 1}
+        assert threading.active_count() == baseline
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        default_rng = np.random.default_rng
+        draws = []
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                draws.append(1)
+                if len(draws) == 2:
+                    raise _DrawError("chunk 2")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        baseline = threading.active_count()
+        with pytest.raises(_DrawError, match="chunk 2"):
+            ergodic_sweep(self.CFG)
+        assert len(draws) == 2
+        assert threading.active_count() == baseline
+
+    def test_kernel_error_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        calls = []
+        kernel = montecarlo._KERNELS[Strategy.DF]
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == len(SMALL["p_r_grid"]) + 2:  # second chunk
+                raise _DrawError("kernel")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setitem(montecarlo._KERNELS, Strategy.DF, failing)
+        baseline = threading.active_count()
+        with pytest.raises(_DrawError, match="kernel"):
+            # Chunks left, so the helper is waiting for the buffer.
+            ergodic_sweep(replace(self.CFG, n_samples=6 * SMALL_CHUNK))
+        assert threading.active_count() == baseline
+
+    def test_concurrent_sweeps_match_serial(self, monkeypatch):
+        # More sweeps than cores, switching threads as often as possible, and
+        # the sweep's allocations slowed: a buffer handed to the helper before
+        # it is in place, or read before it is drawn, would change the records
+        # or stall the sweep.
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfgs = [EnsembleConfig(**{**SMALL, "n_samples": 9 * SMALL_CHUNK + 5, "seed": s})
+                for s in range(6)]
+        want = [ergodic_sweep(cfg) for cfg in cfgs]
+        monkeypatch.setattr(montecarlo, "np", _SlowAllocation())
+        got = [None] * len(cfgs)
+
+        def sweep(k):
+            got[k] = ergodic_sweep(cfgs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=sweep, args=(k,), daemon=True)
+                       for k in range(len(cfgs))]
+            for w in workers:
+                w.start()
+            deadline = time.monotonic() + 30
+            for w in workers:
+                w.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert got == want
+
+
 class _SpyKernel:
-    """Wraps a kernel and records the lanes and budget of every call."""
+    """Wraps a kernel and records the lanes and budget of every call; the
+    per-lane keyword terms are passed through."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.calls = []
 
-    def __call__(self, alpha, beta, mu, p_r):
-        out = self.kernel(alpha, beta, mu, p_r)
+    def __call__(self, alpha, beta, mu, p_r, **terms):
+        out = self.kernel(alpha, beta, mu, p_r, **terms)
         self.calls.append((alpha.copy(), beta.copy(), mu.copy(), p_r, np.array(out)))
         return out
 

@@ -5,7 +5,8 @@ optimal gain is full power below a saturation budget and the interior peak
 of the rate above it (extra relay power would amplify noise more than
 signal), so the capacity is constant beyond that budget. Both regimes are
 one expression at x_hat, evaluated by the array kernel `af_batch`; the
-scalar functions wrap it.
+scalar functions wrap it. Its budget-independent per-lane terms come from
+`af_lane_terms`, which a caller evaluating many budgets builds once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "mutual_info_destination",
     "mutual_info_eavesdropper",
     "af_batch",
+    "af_lane_terms",
     "af_saturation_budget",
     "af_secrecy_capacity",
     "af_achievable_rate_at",
@@ -68,13 +70,20 @@ def _exact_lanes(fn, values, redo, *args):
     return out
 
 
-def _zero_outside(values, keep):
-    """`values`, a fresh ufunc result, as an array with the lanes outside
-    `keep` set to 0. A masked write touches only those lanes, where np.where
-    would copy every lane."""
+def _zero_where(values, mask):
+    """`values`, a fresh ufunc result, as an array with the lanes in `mask`
+    set to 0; unchanged when `mask` is None. A masked write touches only
+    those lanes, where np.where would copy every lane."""
     out = np.asarray(values)
-    np.copyto(out, 0.0, where=np.logical_not(keep))
+    if mask is not None:
+        np.copyto(out, 0.0, where=mask)
     return out
+
+
+def _inactive(active):
+    """The mask of lanes outside `active`, or None when there are none."""
+    inactive = np.logical_not(active)
+    return inactive if inactive.any() else None
 
 
 def _af_factors(alpha, beta, mu, consumed):
@@ -93,8 +102,24 @@ def af_saturation_budget(alpha, beta, mu):
     return np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta)
 
 
+def af_lane_terms(alpha, beta, mu, saturation_budget=None):
+    """The per-lane terms of `af_batch` that do not depend on the budget, as
+    the tuple (saturation budget, alpha - beta, mu - 1, inactive) it takes
+    as `lanes=`. `inactive` masks the lanes with alpha <= beta or mu == 1,
+    and is None when there are none.
+
+    `saturation_budget`, if given, must be `af_saturation_budget(alpha,
+    beta, mu)`; a caller that already holds it passes it.
+    """
+    if saturation_budget is None:
+        with np.errstate(divide="ignore"):
+            saturation_budget = af_saturation_budget(alpha, beta, mu)
+    return (saturation_budget, alpha - beta, mu - 1,
+            _inactive((alpha > beta) & (mu > 1.0)))
+
+
 def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
-             saturation_budget=None) -> tuple[np.ndarray, np.ndarray]:
+             lanes=None) -> tuple[np.ndarray, np.ndarray]:
     """AF (capacity, consumed power), lanewise over arrays or scalars.
 
     The only AF capacity formula in the package. With x_hat = min(P_r/mu,
@@ -103,31 +128,34 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
         0.5*log2(1 + (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x)),
 
     zero when alpha <= beta or mu == 1. log1p keeps small capacities at full
-    relative precision. `saturation_budget`, if given, must be
-    `af_saturation_budget(alpha, beta, mu)`; a caller that evaluates the
-    same lanes at several budgets passes it to save recomputing it.
+    relative precision. `lanes`, if given, must be `af_lane_terms(alpha,
+    beta, mu)`: a caller that evaluates the same lanes at several budgets
+    computes it once. Without it the kernel computes it, with the same bits.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if saturation_budget is None:
-            saturation_budget = af_saturation_budget(alpha, beta, mu)
+        saturation_budget, excess, mu_excess, inactive = (
+            af_lane_terms(alpha, beta, mu) if lanes is None else lanes)
         # Consumed power mu*x_hat: the budget itself up to the saturation
         # budget, so consumed <= p_r holds exactly.
         consumed = np.minimum(p_r, saturation_budget)
-        # Where alpha > beta the first factor lies in [0, 1] and the second
-        # in [0, mu-1] (beta*mu*x_hat < sqrt(mu)), so neither overflows. At
-        # extreme scales the first can still leave the normal range; those
-        # lanes are redone exactly, and one pass rules them out in the
-        # common case.
-        first, second = _af_factors(alpha, beta, mu, consumed)
-        gain = first * second
-        active = (alpha > beta) & (mu > 1.0)
-        if not np.minimum.reduce(first, axis=None, initial=np.inf) >= _MIN_NORMAL:
-            redo = active & (consumed > 0.0) & ~(first >= _MIN_NORMAL)
-            if np.any(redo):
-                gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
-                                    alpha, beta, mu, consumed)
-        capacity = _zero_outside(np.log1p(gain) * _HALF_LOG2_E, active)
-    return capacity, _zero_outside(consumed, active)
+        # The two factors of _af_factors, multiplied. Where alpha > beta the
+        # first lies in [0, 1] and the second in [0, mu-1] (beta*mu*x_hat <
+        # sqrt(mu)), so neither overflows. At extreme scales the first can
+        # still leave the normal range; those lanes are redone exactly, and
+        # one pass rules them out in the common case.
+        gain = excess / (alpha + mu / consumed)
+        redo = None
+        if not np.minimum.reduce(gain, axis=None, initial=np.inf) >= _MIN_NORMAL:
+            redo = (consumed > 0.0) & ~(gain >= _MIN_NORMAL)
+            if inactive is not None:
+                redo = redo & ~inactive
+        gain *= mu_excess / (1 + beta * consumed)  # the product, in place
+        if redo is not None and np.any(redo):
+            gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
+                                alpha, beta, mu, consumed)
+        capacity = np.log1p(gain)
+        capacity *= _HALF_LOG2_E
+    return _zero_where(capacity, inactive), _zero_where(consumed, inactive)
 
 
 def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult:

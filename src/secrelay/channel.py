@@ -71,6 +71,10 @@ class PowerBudget:
         _require_finite("p_r", self.p_r)
         if self.p_s < 0 or self.p_r < 0:
             raise ValueError("powers must be nonnegative")
+        # -0.0 is stored as 0.0, so that no output carries its sign.
+        for name in ("p_s", "p_r"):
+            if getattr(self, name) == 0:
+                object.__setattr__(self, name, 0.0)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .af import af_secrecy_capacity
+from .af import af_batch, af_secrecy_capacity
 from .channel import (
     ChannelRealization,
     DerivedParams,
@@ -26,7 +26,7 @@ from .channel import (
     surrogate_channel,
 )
 from .converse import genie_upper_bound
-from .df import df_secrecy_capacity
+from .df import df_batch, df_secrecy_capacity
 from .fractional import RatioQuadraticProblem, lambda_hat_closed_form
 from .montecarlo import EnsembleConfig, ergodic_sweep
 from .verify import DEFAULT_SEED, run_all
@@ -42,6 +42,7 @@ EXIT_VERIFY = 2
 MAX_SWEEP_POINTS = 100_000
 
 _SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
+_KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 
 _SEED_ENV = "SECRELAY_SEED"
 _FAULT_ENV = "SECRELAY_FAULT_INJECT"
@@ -164,16 +165,21 @@ def _cmd_sweep(args) -> int:
                           "raise --pr-step or narrow --pr-start..--pr-stop")
     count = int(math.floor(steps)) + 1
     grid = [args.pr_start + i * args.pr_step for i in range(count)]
+    budgets = [db_to_linear(p) for p in grid] if args.db else grid
+    # Every budget is finite, so the smallest is the one PowerBudget can reject.
+    PowerBudget(params.mu - 1.0, min(budgets))
     strategies = (
         [Strategy.AF, Strategy.DF] if args.strategy == "both" else [Strategy(args.strategy)]
     )
     rows = []
     for strategy in strategies:
-        for p in grid:
-            p_r = db_to_linear(p) if args.db else p
-            pb = PowerBudget(params.mu - 1.0, p_r)
-            res = _SOLVERS[strategy](params, pb)
-            rows.append([strategy, p_r, res.capacity, res.x_hat, res.consumed_power])
+        # One kernel call over every budget; each lane is the scalar
+        # function's value at that budget, bit for bit.
+        capacity, consumed = _KERNELS[strategy](params.alpha, params.beta, params.mu,
+                                                np.array(budgets))
+        x_hat = consumed / params.mu if strategy is Strategy.AF else consumed
+        rows.extend([strategy, *values] for values in zip(
+            budgets, capacity.tolist(), x_hat.tolist(), consumed.tolist()))
     _write_text(args.out, _csv(["strategy", "p_r", "capacity", "x_hat", "consumed_power"], rows))
     return EXIT_OK
 

@@ -4,7 +4,8 @@ The rate is half the minimum of the first-hop capacity log2(mu) and the
 second-hop secrecy capacity at full relay power. When the second hop is the
 stronger cut the relay dials its gain down to the point where both cuts are
 equal, saving power. The array kernel `df_batch` evaluates this; the scalar
-functions wrap it.
+functions wrap it. Its budget-independent per-lane terms come from
+`df_lane_terms`, which a caller evaluating many budgets builds once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes, _zero_outside
+from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes, _inactive, _zero_where
 from .channel import DerivedParams, PowerBudget, Strategy
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "df_batch",
     "df_balancing_gain",
     "df_first_cut",
+    "df_lane_terms",
     "df_secrecy_capacity",
 ]
 
@@ -77,8 +79,21 @@ def df_first_cut(mu):
     return 0.5 * np.log2(mu)
 
 
+def df_lane_terms(alpha, beta, mu, balancing_gain=None):
+    """The per-lane terms of `df_batch` that do not depend on the budget, as
+    the tuple (balancing gain, 0.5*log2(mu), alpha - beta, inactive) it
+    takes as `lanes=`. `inactive` masks the lanes with alpha <= beta, and is
+    None when there are none.
+
+    `balancing_gain`, if given, must be `df_balancing_gain(alpha, beta,
+    mu)`. If None, `df_batch` computes the gain at each call, only on lanes
+    where the second cut is the larger.
+    """
+    return balancing_gain, df_first_cut(mu), alpha - beta, _inactive(alpha > beta)
+
+
 def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
-             balancing_gain=None, first_cut=None) -> tuple[np.ndarray, np.ndarray]:
+             lanes=None) -> tuple[np.ndarray, np.ndarray]:
     """DF (capacity, consumed power), lanewise over arrays or scalars.
 
     The only DF capacity formula in the package:
@@ -87,30 +102,36 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
     re-encoded symbol has unit power: full power, or the cut-balancing gain
     (mu-1)/(alpha-beta*mu) when the second hop is the stronger cut.
 
-    `balancing_gain` and `first_cut`, if given, must be
-    `df_balancing_gain(alpha, beta, mu)` and `df_first_cut(mu)`; a caller
-    that evaluates the same lanes at several budgets passes them to save
-    recomputing them.
+    `lanes`, if given, must be `df_lane_terms(alpha, beta, mu, ...)`: a
+    caller that evaluates the same lanes at several budgets computes it
+    once. Without it the kernel computes it, with the same bits.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        balancing_gain, first, excess, inactive = (
+            df_lane_terms(alpha, beta, mu) if lanes is None else lanes)
         p_r = np.asarray(p_r, dtype=float)
-        snr = _second_hop_gain(alpha, beta, p_r)
-        positive = alpha > beta
+        # _second_hop_gain, with alpha - beta from the lane terms.
+        snr = excess / (beta + 1 / p_r)
         # Lanes where an extreme scale pushed the gain out of the normal
         # range are redone exactly; one pass rules them out in the common case.
         if not np.minimum.reduce(snr, axis=None, initial=np.inf) >= _MIN_NORMAL:
-            redo = positive & (p_r > 0.0) & ~(snr >= _MIN_NORMAL)
+            redo = (p_r > 0.0) & ~(snr >= _MIN_NORMAL)
+            if inactive is not None:
+                redo = redo & ~inactive
             if np.any(redo):
                 snr = _exact_lanes(_second_hop_gain, snr, redo, alpha, beta, p_r)
         # Half of each cut, rounded the way af_batch rounds its capacity.
-        first = df_first_cut(mu) if first_cut is None else first_cut
-        second = np.log1p(snr) * _HALF_LOG2_E
-        capacity = _zero_outside(np.minimum(first, second), positive)
+        second = np.log1p(snr)
+        second *= _HALF_LOG2_E
+        del snr
+        capacity = _zero_where(np.minimum(first, second), inactive)
         # Full power, or the balancing gain, computed only where the second
         # cut is the larger. It lies in [0, P_r] there; where rounding at
         # equal cuts pushes it out, P_r is its limit.
-        consumed = _zero_outside(np.full_like(capacity, p_r), positive)
-        balancing = positive & (second > first)
+        consumed = _zero_where(np.full_like(capacity, p_r), inactive)
+        balancing = second > first
+        if inactive is not None:
+            balancing = balancing & ~inactive
         if np.any(balancing):
             gain = (df_balancing_gain(alpha, beta, mu, where=balancing)
                     if balancing_gain is None else balancing_gain)

@@ -13,9 +13,11 @@ order, so results are reproducible bit for bit for a given seed within this
 implementation. A sweep holds the chunk it evaluates and the normals of the
 next one, which one helper thread draws meanwhile (numpy's Generator
 releases the GIL for the fill), so its memory does not grow with the sample
-count or the number of variances. It evaluates the kernels only on samples
-whose output still depends on the budget, and hands them the per-sample
-terms that do not depend on it.
+count or the number of variances. Each sample's |h|^2 values are formed
+as derive_params forms them from a sample_channel draw, bit for bit. The
+sweep evaluates the kernels only on samples whose output still depends on
+the budget, and hands them every per-sample term that does not depend on
+it, built once per chunk, curve and strategy, as their `lanes=` argument.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .af import af_batch, af_saturation_budget
+from .af import af_batch, af_lane_terms, af_saturation_budget
 from .channel import ChannelRealization, Strategy, db_to_linear
-from .df import df_balancing_gain, df_batch, df_first_cut
+from .df import df_balancing_gain, df_batch, df_lane_terms
 
 __all__ = [
     "EnsembleConfig",
@@ -62,7 +64,7 @@ class EnsembleConfig:
                 raise ValueError(f"{name} must be a positive finite variance, got {v!r}")
         if not math.isfinite(self.p_s_dbw):
             raise ValueError("p_s_dbw must be finite")
-        grid = tuple(float(p) for p in self.p_r_grid)
+        grid = tuple(float(p) + 0.0 for p in self.p_r_grid)  # -0.0 becomes 0.0
         if len(grid) == 0:
             raise ValueError("p_r_grid must not be empty")
         if any(not math.isfinite(p) or p < 0 for p in grid):
@@ -132,14 +134,8 @@ def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelReal
 
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 _THRESHOLDS = {Strategy.AF: af_saturation_budget, Strategy.DF: df_balancing_gain}
-
-
-def _kernel_terms(strategy: Strategy, threshold, mu) -> dict:
-    """The kernel's keyword terms that do not depend on the budget, for lanes
-    with the given threshold and mu."""
-    if strategy is Strategy.AF:
-        return {"saturation_budget": threshold}
-    return {"balancing_gain": threshold, "first_cut": df_first_cut(mu)}
+# (alpha, beta, mu, threshold) -> the kernel's `lanes=` terms.
+_LANE_TERMS = {Strategy.AF: af_lane_terms, Strategy.DF: df_lane_terms}
 
 
 # Samples drawn and evaluated at a time. Larger chunks spend less time on
@@ -148,7 +144,8 @@ _CHUNK = 1 << 16
 
 
 def _chunks(cfg: EnsembleConfig):
-    """(h_d pair, beta, mu) for successive blocks of at most _CHUNK samples.
+    """(h_d normals x, y, beta, mu) for successive blocks of at most _CHUNK
+    samples.
 
     Successive standard_normal calls on one generator give the same stream,
     row for row, as one (n_samples, 6) draw. A helper thread draws each
@@ -203,25 +200,34 @@ def _draw_ahead(rng, slot, handed, drawn, errors):
             drawn.release()
 
 
+def _abs2_of_gain(var: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|h|^2 lanewise for the gain h = sqrt(var/2)*(x + 1j*y), formed as
+    channel._abs2 forms it, (s*x)**2 + (s*y)**2, so that it equals the value
+    derive_params gives a sample_channel draw bit for bit. Built in place:
+    no complex temporary, and one real one."""
+    s = math.sqrt(var / 2.0)
+    re, im = np.multiply(x, s), np.multiply(y, s)
+    np.square(re, out=re)
+    return np.add(re, np.square(im, out=im), out=re)
+
+
 def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
     # Every array returned is a copy, so that z is freed before the chunk is
-    # evaluated. Only alpha depends on var_hd: the pair of normals behind
-    # h_d is kept to build it for each curve.
-    beta = np.abs(_gain(cfg.var_he, _pair(z, 4))) ** 2
-    mu = 1.0 + p_s * np.abs(_gain(cfg.var_hr, _pair(z, 0))) ** 2
-    return _pair(z, 2), beta, mu
+    # evaluated. Only alpha depends on var_hd: the normals behind h_d are
+    # kept to build it for each curve.
+    beta = _abs2_of_gain(cfg.var_he, z[:, 4], z[:, 5])
+    mu = _abs2_of_gain(cfg.var_hr, z[:, 0], z[:, 1])
+    np.multiply(mu, p_s, out=mu)
+    return z[:, 2].copy(), z[:, 3].copy(), beta, np.add(mu, 1.0, out=mu)
 
 
-def _moments(rows):
-    """(count, sums, M2) of each of the equal-length arrays in rows:
-    pairwise sums, two-pass M2."""
-    n = rows[0].size
-    sums = np.array([row.sum() for row in rows])
-    m2 = np.empty_like(sums)
-    for k, row in enumerate(rows):
-        dev = row - sums[k] / max(n, 1)
-        m2[k] = np.square(dev, out=dev).sum()
-    return n, sums, m2
+def _moments(row):
+    """(count, sum, M2) of one array as Python numbers: pairwise sum,
+    two-pass M2."""
+    n = row.size
+    total = float(np.add.reduce(row))
+    dev = np.subtract(row, total / max(n, 1))
+    return n, total, float(np.add.reduce(np.square(dev, out=dev)))
 
 
 def _merge(a, b):
@@ -230,10 +236,10 @@ def _merge(a, b):
 
     Sums are added rather than means averaged: the values are nonnegative,
     so the sums carry no cancellation and every M2 term is nonnegative. A
-    sweep's sum is pairwise within each evaluated tail and sequential over
-    at most one settled group per budget and one chunk per _CHUNK samples,
-    so its relative error is at most about (log2(_CHUNK) + budgets +
-    chunks) * 2**-53.
+    sweep's sum is pairwise within each evaluated group and sequential over
+    at most two groups per budget and one chunk per _CHUNK samples, so its
+    relative error is at most about (log2(_CHUNK) + 2*budgets + chunks) *
+    2**-53.
     """
     (na, sa, qa), (nb, sb, qb) = a, b
     n = na + nb
@@ -257,29 +263,38 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     value a call on all lanes gives it, bit for bit.
     """
     size = alpha.size
-    lanes = np.flatnonzero(alpha > beta)
-    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         threshold = _THRESHOLDS[strategy](alpha, beta, mu)
+    lanes = np.flatnonzero(alpha > beta)
+    threshold = threshold.take(lanes)
     order = np.argsort(threshold)
-    threshold, alpha, beta, mu = (v.take(order) for v in (threshold, alpha, beta, mu))
+    # Each lane array is gathered once, in threshold order.
+    lanes = lanes.take(order)
+    threshold = threshold.take(order)
+    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
     del lanes, order  # not held through the budget loop
     below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
     kernel = _KERNELS[strategy]
-    terms = _kernel_terms(strategy, threshold, mu)
-    sums = np.empty((len(grid), 2))
-    m2 = np.empty((len(grid), 2))
-    settled = (0, 0.0, 0.0)
+    terms = _LANE_TERMS[strategy](alpha, beta, mu, threshold)
+    tail = terms
+    out = []  # per budget, the moments of each output row
+    settled = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
     done = 0
-    for i, (p_r, j) in enumerate(zip(grid, below)):
-        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r,
-                      **{name: term[done:] for name, term in terms.items()})
-        _, sums[i], m2[i] = _merge(settled, _moments(rows))
+    for p_r, j in zip(grid, below):
+        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r, lanes=tail)
         settles = rows[1][: j - done] == threshold[done:j]
         count = settles.size if settles.all() else int(np.argmin(settles))
+        # The settling prefix joins the settled group; the rest is counted
+        # at this budget only. Each lane is counted once per budget.
+        for k, row in enumerate(rows):
+            if count:
+                settled[k] = _merge(settled[k], _moments(row[:count]))
+            out.append(_merge(settled[k], _moments(row[count:])))
+        del rows, row  # freed before the next call
         if count:
-            settled = _merge(settled, _moments([row[:count] for row in rows]))
             done += count
+            tail = tuple(None if term is None else term[done:] for term in terms)
+    _, sums, m2 = (np.reshape(column, (len(grid), 2)) for column in zip(*out))
     return _merge((size - alpha.size, 0.0, 0.0), (alpha.size, sums, m2))
 
 
@@ -301,9 +316,9 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
         raise ValueError("configs swept together may differ only in var_hd")
     totals = {(k, s): (0, 0.0, 0.0) for k in range(len(cfgs)) for s in cfg.strategies}
     with closing(_chunks(cfg)) as chunks:
-        for pair_d, beta, mu in chunks:
+        for x_d, y_d, beta, mu in chunks:
             for k, curve in enumerate(cfgs):
-                alpha = np.abs(_gain(curve.var_hd, pair_d)) ** 2
+                alpha = _abs2_of_gain(curve.var_hd, x_d, y_d)
                 for strategy in cfg.strategies:
                     chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
                     totals[k, strategy] = _merge(totals[k, strategy], chunk)

@@ -94,3 +94,12 @@ def test_db_scale_is_multiplicative():
         a, b = rng.uniform(-30.0, 30.0, 2)
         prod = db_to_linear(a) * db_to_linear(b)
         assert prod == pytest.approx(db_to_linear(a + b), rel=1e-12)
+
+
+def test_power_budget_stores_negative_zero_as_zero():
+    pb = PowerBudget(-0.0, -0.0)
+    assert (pb.p_s, pb.p_r) == (0.0, 0.0)
+    assert math.copysign(1.0, pb.p_s) == math.copysign(1.0, pb.p_r) == 1.0
+    assert pb == PowerBudget(0.0, 0.0)
+    assert PowerBudget(np.float64(-0.0), 2.0).p_s == 0.0
+    assert math.copysign(1.0, PowerBudget(np.float64(-0.0), 2.0).p_s) == 1.0

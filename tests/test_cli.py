@@ -97,6 +97,19 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:") and "5000" in err
 
+    @pytest.mark.parametrize("strategy", ["af", "df"])
+    def test_negative_zero_budget_prints_no_sign(self, capsys, strategy):
+        code, out, _ = run(
+            capsys, "compute", "--strategy", strategy,
+            "--alpha", "4", "--beta", "1", "--mu", "2", "--pr", "-0.0",
+        )
+        assert code == 0
+        assert "-0.0" not in out
+        assert "p_r             0.0 W" in out
+        assert "capacity        0.0 bits/channel use" in out
+        assert "x_hat           0.0\n" in out
+        assert "consumed_power  0.0 W" in out
+
     def test_invalid_params_usage_error(self, capsys):
         code, _, err = run(
             capsys, "compute", "--strategy", "af",
@@ -161,6 +174,44 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "4", "--beta", "1", "--mu", "2", "--pr-stop", "3", "--pr-step", "0.01"],
+        ["--alpha", "3.7", "--beta", "0", "--mu", "9.5", "--pr-stop", "3", "--pr-step", "0.01"],
+        ["--alpha", "0.5", "--beta", "1", "--mu", "9.5", "--pr-stop", "3", "--pr-step", "0.5"],
+        ["--alpha", "4", "--beta", "1", "--mu", "1", "--pr-stop", "3", "--pr-step", "0.5"],
+        ["--alpha", "2", "--beta", "1", "--mu", "1e90", "--pr-start", "1e-148",
+         "--pr-stop", "2e-147", "--pr-step", "1e-148"],  # exact-arithmetic lanes
+        ["--alpha", "4", "--beta", "1", "--mu", "2", "--pr-start=-40", "--pr-stop", "40",
+         "--pr-step", "0.25", "--db"],
+    ])
+    def test_rows_equal_the_scalar_functions(self, capsys, monkeypatch, flags):
+        calls = []
+        for strategy, kernel in list(cli._KERNELS.items()):
+            monkeypatch.setitem(cli._KERNELS, strategy,
+                                lambda *a, _k=kernel, **k: calls.append(a) or _k(*a, **k))
+        code, out, _ = run(capsys, "sweep", *flags)
+        assert code == 0
+        assert len(calls) == 2  # one kernel call per strategy
+        args = dict(zip(flags[::2], flags[1::2]))
+        params = cli.DerivedParams(*(float(args[f"--{k}"]) for k in ("alpha", "beta", "mu")))
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 2 * calls[0][3].size
+        for strategy, p_r, *values in rows:
+            pb = cli.PowerBudget(params.mu - 1.0, float(p_r))
+            res = cli._SOLVERS[cli.Strategy(strategy)](params, pb)
+            assert values == [repr(v) for v in (res.capacity, res.x_hat, res.consumed_power)]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--pr-start=-1", "--pr-stop", "1", "--pr-step", "0.5"], "nonnegative"),
+        (["--pr-start", "300", "--pr-stop", "4000", "--pr-step", "100", "--db"],
+         "3100.0 dB overflows"),
+    ])
+    def test_bad_budget_usage_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", "--alpha", "4", "--beta", "1", "--mu", "2", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_point_limit_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
         argv = ["sweep", "--strategy", "af", "--alpha", "4", "--beta", "1", "--mu", "2",
@@ -184,6 +235,12 @@ class TestMonteCarlo:
         )
         assert len(lines) == 1 + 2 * 3  # af and df, three budgets
         assert all(line.endswith(",400,11") for line in lines[1:])
+
+    def test_negative_zero_budget_prints_no_sign(self, capsys):
+        code, out, _ = run(capsys, *MC_SMALL, "--pr-start=-0.0")
+        assert code == 0
+        assert "-0.0" not in out
+        assert out.split("\n")[1].split(",")[2] == "0.0"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"

@@ -400,13 +400,13 @@ def test_df_batch_computes_the_gain_where_the_second_cut_is_larger(monkeypatch):
 
 
 def kernel_terms(kernel, alpha, beta, mu):
-    """The budget-independent keyword terms of `kernel`, as the Monte Carlo
-    sweep passes them."""
+    """The budget-independent lane terms of `kernel`, as the Monte Carlo
+    sweep passes them: every term computed, the DF balancing gain too."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kernel is af_batch:
-            return {"saturation_budget": af.af_saturation_budget(alpha, beta, mu)}
-        return {"balancing_gain": df.df_balancing_gain(alpha, beta, mu),
-                "first_cut": df.df_first_cut(mu)}
+            return {"lanes": af.af_lane_terms(alpha, beta, mu)}
+        gain = df.df_balancing_gain(alpha, beta, mu)
+        return {"lanes": df.df_lane_terms(alpha, beta, mu, balancing_gain=gain)}
 
 
 def assert_terms_change_no_bit(kernel, alpha, beta, mu, p_r):
@@ -429,6 +429,28 @@ def test_given_terms_change_no_bit_on_lanes(monkeypatch, kernel, module):
     assert_terms_change_no_bit(kernel, 3.0, beta, mu[:, None], column[:, :, None])
 
 
+@pytest.mark.parametrize("kernel, frozen", KERNELS)
+def test_given_terms_change_no_bit_on_active_lanes(kernel, frozen):
+    # The sweep's case: no lane is inactive, so no lane is zeroed.
+    alpha, beta, mu = _kernel_lanes()
+    active = (alpha > beta) & (mu > 1.0)
+    alpha, beta, mu = alpha[active], beta[active], mu[active]
+    terms = kernel_terms(kernel, alpha, beta, mu)
+    assert terms["lanes"][-1] is None
+    for p_r in _lane_budgets(alpha, beta, mu):
+        got = kernel(alpha, beta, mu, p_r, **terms)
+        assert_same_bits(got, kernel(alpha, beta, mu, p_r))
+        assert_same_bits(got, frozen(alpha, beta, mu, p_r))
+
+
+def test_df_terms_without_the_gain_change_no_bit():
+    alpha, beta, mu = _kernel_lanes()
+    lanes = df.df_lane_terms(alpha, beta, mu)
+    assert lanes[0] is None
+    for p_r in _lane_budgets(alpha, beta, mu):
+        assert_same_bits(df_batch(alpha, beta, mu, p_r, lanes=lanes), df_batch(alpha, beta, mu, p_r))
+
+
 @pytest.mark.parametrize("case", SCALAR_CASES)
 @pytest.mark.parametrize("kernel", [af_batch, df_batch])
 def test_given_terms_change_no_bit_on_scalars(kernel, case):
@@ -445,8 +467,9 @@ def test_given_terms_are_not_recomputed(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a given term was recomputed")
 
-    monkeypatch.setattr(af, "af_saturation_budget", fail)
-    for name in ("df_balancing_gain", "df_first_cut"):
+    for name in ("af_lane_terms", "af_saturation_budget", "_inactive"):
+        monkeypatch.setattr(af, name, fail)
+    for name in ("df_lane_terms", "df_balancing_gain", "df_first_cut", "_inactive"):
         monkeypatch.setattr(df, name, fail)
     af_batch(alpha, beta, mu, 2.5, **af_terms)
     df_batch(alpha, beta, mu, 2.5, **df_terms)

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EnsembleConfig(**{field: value})
 
+    def test_negative_zero_budget_stored_as_zero(self):
+        cfg = EnsembleConfig(p_r_grid=(-0.0, 1.0), n_samples=3)
+        assert cfg.p_r_grid == (0.0, 1.0)
+        assert math.copysign(1.0, cfg.p_r_grid[0]) == 1.0
+        for rec in ergodic_sweep(cfg):
+            assert math.copysign(1.0, rec.p_r) == 1.0
+
     @pytest.mark.parametrize("value", [np.int64(5), np.uint64(5), 5])
     def test_integer_types_accepted_as_int(self, value):
         cfg = EnsembleConfig(seed=value, n_samples=value)
@@ -92,6 +100,47 @@ class TestSampling:
         # and the scalar sampler uses the same scaling
         chans = [sample_channel(cfg, np.random.default_rng(9)) for _ in range(1)]
         assert all(math.isfinite(abs(c.h_d)) for c in chans)
+
+
+class TestSweepInputs:
+    """The per-sample (alpha, beta, mu) the sweep evaluates."""
+
+    @pytest.mark.parametrize("var_hd", [1.0, 8.0, 0.3])
+    def test_lanes_equal_derive_params_of_sample_channel(self, monkeypatch, var_hd):
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfg = EnsembleConfig(var_hr=2.0, var_hd=var_hd, var_he=0.7, p_s_dbw=7.0,
+                             n_samples=2 * SMALL_CHUNK + 5, seed=31)
+        lanes = []
+        with closing(montecarlo._chunks(cfg)) as chunks:
+            for x_d, y_d, beta, mu in chunks:
+                lanes += zip(montecarlo._abs2_of_gain(var_hd, x_d, y_d), beta, mu)
+        assert len(lanes) == cfg.n_samples
+        rng = np.random.default_rng(cfg.seed)
+        pb = PowerBudget(db_to_linear(cfg.p_s_dbw), 1.0)
+        for got in lanes:
+            params = derive_params(sample_channel(cfg, rng), pb)
+            assert tuple(map(float, got)) == (params.alpha, params.beta, params.mu)
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_normals_to_terms_without_complex_temporaries(self):
+        m = 1 << 16
+        z = np.random.default_rng(32).standard_normal((m, 6))
+        kept, peak = self._peak(montecarlo._params_from_normals, EnsembleConfig(**SMALL), 10.0, z)
+        # Beyond its own outputs the step holds less than half a complex
+        # array at any time, so no complex temporary fits.
+        assert peak - sum(v.nbytes for v in kept) < m * np.dtype(complex).itemsize // 2
+        # Each |h|^2 holds one real temporary beside its result.
+        x, y = z[:, 0].copy(), z[:, 1].copy()
+        power, peak = self._peak(montecarlo._abs2_of_gain, 2.0, x, y)
+        assert peak - power.nbytes <= power.nbytes + 4096
 
 
 class TestKernels:
@@ -487,6 +536,29 @@ class TestChunkEvaluation:
             values = np.array(spy.kernel(alpha, beta, mu, p_r))
             np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
+
+    def test_lane_terms_built_once_per_chunk_curve_and_strategy(self, monkeypatch):
+        # The sweep builds each lane set's terms once and the kernels take
+        # them: a kernel looking up any term function fails.
+        from secrelay import af, df
+
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfgs = [EnsembleConfig(var_hd=v, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
+                for v in SHARED_VARS]
+        want = ergodic_sweep(*cfgs)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a kernel recomputed a lane term")
+
+        for module, name in [(af, "af_lane_terms"), (af, "af_saturation_budget"),
+                             (df, "df_lane_terms"), (df, "df_balancing_gain")]:
+            monkeypatch.setattr(module, name, fail)
+        built = []
+        for strategy, terms in list(montecarlo._LANE_TERMS.items()):
+            monkeypatch.setitem(montecarlo._LANE_TERMS, strategy,
+                                lambda *a, _s=strategy, _t=terms: built.append(_s) or _t(*a))
+        assert ergodic_sweep(*cfgs) == want
+        assert built == [Strategy.AF, Strategy.DF] * (3 * len(SHARED_VARS))
 
     @pytest.mark.parametrize("strategy, never_settle", [
         (Strategy.AF, slice(0, 20)),    # beta == 0

@@ -20,6 +20,7 @@ from .channel import DerivedParams, PowerBudget, Strategy
 __all__ = [
     "source_relay_capacity",
     "second_hop_secrecy_capacity",
+    "df_active",
     "df_batch",
     "df_balancing_gain",
     "df_first_cut",
@@ -79,17 +80,23 @@ def df_first_cut(mu):
     return 0.5 * np.log2(mu)
 
 
+def df_active(alpha, beta, mu):
+    """The lanes `df_batch` evaluates, alpha > beta; both its outputs are
+    zero on the others at every budget."""
+    return alpha > beta
+
+
 def df_lane_terms(alpha, beta, mu, balancing_gain=None):
     """The per-lane terms of `df_batch` that do not depend on the budget, as
     the tuple (balancing gain, 0.5*log2(mu), alpha - beta, inactive) it
-    takes as `lanes=`. `inactive` masks the lanes with alpha <= beta, and is
-    None when there are none.
+    takes as `lanes=`. `inactive` masks the lanes outside `df_active`, and
+    is None when there are none.
 
     `balancing_gain`, if given, must be `df_balancing_gain(alpha, beta,
     mu)`. If None, `df_batch` computes the gain at each call, only on lanes
     where the second cut is the larger.
     """
-    return balancing_gain, df_first_cut(mu), alpha - beta, _inactive(alpha > beta)
+    return balancing_gain, df_first_cut(mu), alpha - beta, _inactive(df_active(alpha, beta, mu))
 
 
 def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,

@@ -15,9 +15,14 @@ next one, which one helper thread draws meanwhile (numpy's Generator
 releases the GIL for the fill), so its memory does not grow with the sample
 count or the number of variances. Each sample's |h|^2 values are formed
 as derive_params forms them from a sample_channel draw, bit for bit. The
-sweep evaluates the kernels only on samples whose output still depends on
-the budget, and hands them every per-sample term that does not depend on
-it, built once per chunk, curve and strategy, as their `lanes=` argument.
+sweep leaves out the samples a kernel gives zero at every budget
+(af_active, df_active), evaluates the kernels only on samples whose output
+still depends on the budget, and hands them every per-sample term that does
+not depend on it, built once per chunk, curve and strategy, as their
+`lanes=` argument. Per budget it reduces only the capacities of the
+samples not yet settled: a sample consumes the budget itself while its AF
+saturation budget or DF balancing gain is at or above it, and that
+threshold, which the sweep holds sorted, once it has settled.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .af import af_batch, af_lane_terms, af_saturation_budget
+from .af import af_active, af_batch, af_lane_terms, af_saturation_budget
 from .channel import ChannelRealization, Strategy, db_to_linear
-from .df import df_balancing_gain, df_batch, df_lane_terms
+from .df import df_active, df_balancing_gain, df_batch, df_lane_terms
 
 __all__ = [
     "EnsembleConfig",
@@ -133,6 +138,8 @@ def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelReal
 
 
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
+# The lanes each kernel evaluates; it gives the others (0, 0) at every budget.
+_ACTIVE = {Strategy.AF: af_active, Strategy.DF: df_active}
 _THRESHOLDS = {Strategy.AF: af_saturation_budget, Strategy.DF: df_balancing_gain}
 # (alpha, beta, mu, threshold) -> the kernel's `lanes=` terms.
 _LANE_TERMS = {Strategy.AF: af_lane_terms, Strategy.DF: df_lane_terms}
@@ -236,10 +243,12 @@ def _merge(a, b):
 
     Sums are added rather than means averaged: the values are nonnegative,
     so the sums carry no cancellation and every M2 term is nonnegative. A
-    sweep's sum is pairwise within each evaluated group and sequential over
-    at most two groups per budget and one chunk per _CHUNK samples, so its
-    relative error is at most about (log2(_CHUNK) + 2*budgets + chunks) *
-    2**-53.
+    sweep's sum is pairwise within each reduced group; the consumed power
+    of the lanes at or above a budget, all equal to it, is one product n*p,
+    rounded once, with M2 zero. The groups are added sequentially: the
+    settling groups of the budgets so far, at most three more per budget,
+    and one chunk per _CHUNK samples, so the relative error is at most
+    about (log2(_CHUNK) + 2*budgets + 3 + chunks) * 2**-53.
     """
     (na, sa, qa), (nb, sb, qb) = a, b
     n = na + nb
@@ -251,7 +260,8 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     """Moments of (capacity, consumed) over one chunk at every budget.
 
     Returns (count, sums, M2), sums and M2 of shape (len(grid), 2). Lanes
-    with alpha <= beta are (0, 0) at every budget and are not evaluated.
+    the kernel does not evaluate (`af_active`, `df_active`: alpha <= beta,
+    and for AF mu == 1) are (0, 0) at every budget and are left out first.
     The others are sorted by their threshold s, past which the kernel
     output is constant, and the kernel runs only on the tail not yet
     settled. A lane settles, after the lanes before it, at a budget p > s
@@ -261,36 +271,48 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     tie up to rounding and either branch may be taken.) A settled lane's
     outputs are its values at every later budget, so each lane gets the
     value a call on all lanes gives it, bit for bit.
+
+    The consumed power is taken from the sorted thresholds, not from the
+    tail: a settled lane consumes its threshold, and a lane with s >= p
+    consumes exactly p (AF's min(p, s); DF's full power, or a balancing
+    gain equal to p). Only DF's lanes with s < p that did not settle, where
+    the cuts tie, are reduced from the kernel's consumed row, which is
+    otherwise read only to find the settling prefix.
     """
     size = alpha.size
+    lanes = np.flatnonzero(_ACTIVE[strategy](alpha, beta, mu))
+    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = _THRESHOLDS[strategy](alpha, beta, mu)
-    lanes = np.flatnonzero(alpha > beta)
-    threshold = threshold.take(lanes)
     order = np.argsort(threshold)
-    # Each lane array is gathered once, in threshold order.
-    lanes = lanes.take(order)
-    threshold = threshold.take(order)
-    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
+    alpha, beta, mu, threshold = (a.take(order) for a in (alpha, beta, mu, threshold))
     del lanes, order  # not held through the budget loop
     below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
     kernel = _KERNELS[strategy]
     terms = _LANE_TERMS[strategy](alpha, beta, mu, threshold)
     tail = terms
-    out = []  # per budget, the moments of each output row
-    settled = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    out = []  # per budget, the moments of capacity and of consumed power
+    settled_capacity = settled_consumed = (0, 0.0, 0.0)
     done = 0
     for p_r, j in zip(grid, below):
-        rows = kernel(alpha[done:], beta[done:], mu[done:], p_r, lanes=tail)
-        settles = rows[1][: j - done] == threshold[done:j]
-        count = settles.size if settles.all() else int(np.argmin(settles))
-        # The settling prefix joins the settled group; the rest is counted
+        j = int(j)
+        capacity, consumed = kernel(alpha[done:], beta[done:], mu[done:], p_r, lanes=tail)
+        count = 0
+        if j > done:
+            settles = consumed[: j - done] == threshold[done:j]
+            count = settles.size if settles.all() else int(np.argmin(settles))
+        # The settling prefix joins the settled groups; the rest is counted
         # at this budget only. Each lane is counted once per budget.
-        for k, row in enumerate(rows):
-            if count:
-                settled[k] = _merge(settled[k], _moments(row[:count]))
-            out.append(_merge(settled[k], _moments(row[count:])))
-        del rows, row  # freed before the next call
+        if count:
+            settled_capacity = _merge(settled_capacity, _moments(capacity[:count]))
+            settled_consumed = _merge(settled_consumed,
+                                      _moments(threshold[done:done + count]))
+        out.append(_merge(settled_capacity, _moments(capacity[count:])))
+        rest = (alpha.size - j, (alpha.size - j) * p_r, 0.0)
+        if j - done > count:
+            rest = _merge(_moments(consumed[count:j - done]), rest)
+        out.append(_merge(settled_consumed, rest))
+        del capacity, consumed  # freed before the next call
         if count:
             done += count
             tail = tuple(None if term is None else term[done:] for term in terms)

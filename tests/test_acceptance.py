@@ -59,6 +59,18 @@ def test_criterion_4_ratio_identity():
 
 
 def test_criterion_5_lmmse_numeric_check():
+    # |z| <= 5 over 20 draws holds by argument, not by seed. The estimator's
+    # 100 batch values are each var_d - |cov|^2/var_e over m = 10,000 pairs
+    # (y_d, y_e), which are jointly circular complex Gaussian: the Schur
+    # complement of a complex Wishart matrix with m degrees of freedom. So
+    # each is s2*G/m with G ~ Gamma(m - 1, 1) and s2 the LMMSE error
+    # variance (the complex form of Muirhead 1982, Thm 3.2.10): iid, nearly
+    # normal (skewness 2/sqrt(m - 1) = 0.02), and biased by -s2/m, which is
+    # -10/sqrt(m - 1) = -0.10 of the standard error of their mean. z is
+    # then t with 99 degrees of freedom (the batch stderr's) and
+    # noncentrality -0.10: P(|z| > 5) = 2.7e-6 per draw and 5.5e-5 over
+    # the 20 draws (union bound); 5.0e-5 without the bias, and 1.1e-5
+    # (1.3e-5 with it) if z were normal.
     rng = np.random.default_rng(SEED + 5)
     start = time.perf_counter()
     worst_z = 0.0
@@ -85,6 +97,20 @@ def test_criterion_6_df_properties():
 
 
 def test_criterion_7_figure_regeneration():
+    # The 3-sigma checks hold by argument, not by seed. The curves share one
+    # draw, so each gap is the mean over n = 100,000 samples of a per-sample
+    # difference, whose standard error s is far below the limit L =
+    # 3*hypot(se_a, se_b), which treats the two means as independent. The
+    # true gap D, s and L, from 4M samples of the same ensemble:
+    # - (c) top gap, 19.5 -> 20 W: D <= 6.9e-4, L >= 4.3e-3, s <= 5.5e-6,
+    #   so a failure needs an error of at least 1090 s;
+    # - (b) ordering at 10 W: D >= 0.117, L <= 8.7e-3, s <= 6.9e-4, at
+    #   least 293 s;
+    # - AF saving power at 20 W: D = 4.76 W, L = 0.10 W, s = 0.024 W, 191 s.
+    # Chebyshev's inequality, which needs no normality, bounds the chance
+    # that any of these 15 checks fails by the sum of 1/k**2 over their
+    # margins k, 8.3e-5. Check (a) holds exactly: every sample's capacity is
+    # nondecreasing in the budget, so each mean is, up to rounding.
     start = time.perf_counter()
     variances = (1.0, 2.0, 4.0, 8.0)
     sweeps = {v: ergodic_sweep(EnsembleConfig(var_hd=v, n_samples=100_000, seed=SEED))

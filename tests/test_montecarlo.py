@@ -469,16 +469,18 @@ class TestDrawThread:
 
 
 class _SpyKernel:
-    """Wraps a kernel and records the lanes and budget of every call; the
-    per-lane keyword terms are passed through."""
+    """Wraps a kernel and records the lanes and budget of every call, and
+    the `lanes=` terms it was given, which are passed through."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.calls = []
+        self.terms = []
 
     def __call__(self, alpha, beta, mu, p_r, **terms):
         out = self.kernel(alpha, beta, mu, p_r, **terms)
         self.calls.append((alpha.copy(), beta.copy(), mu.copy(), p_r, np.array(out)))
+        self.terms.append(terms.get("lanes"))
         return out
 
 
@@ -578,3 +580,79 @@ class TestChunkEvaluation:
             assert np.all(a > b)
         # Saturating lanes do drop out.
         assert spy.calls[-1][0].size < spy.calls[0][0].size
+
+    def test_af_leaves_out_lanes_with_mu_one(self, monkeypatch):
+        # AF is (0, 0) at every budget where mu == 1. Those lanes are left
+        # out with the alpha <= beta ones, so the lanes sorted after them
+        # still settle: each call holds exactly the lanes whose saturation
+        # budget is at least the budget before. (The sums and M2 on these
+        # lanes are checked by test_per_lane_values_match_one_call.)
+        alpha, beta, mu = _edge_lanes()
+        grid = _edge_grid(alpha, beta, mu)
+        one = mu == 1.0
+        assert one.sum() == 10 and (alpha[one] > beta[one]).any()
+        spy = _SpyKernel(montecarlo._KERNELS[Strategy.AF])
+        monkeypatch.setitem(montecarlo._KERNELS, Strategy.AF, spy)
+        montecarlo._chunk_moments(Strategy.AF, alpha, beta, mu, grid)
+        active = (alpha > beta) & ~one
+        with np.errstate(divide="ignore"):
+            s = af_saturation_budget(alpha[active], beta[active], mu[active])
+        for k, (a, _, m, _, _) in enumerate(spy.calls):
+            assert not (m == 1.0).any()
+            assert a.size == (s.size if k == 0 else np.sum(s >= grid[k - 1]))
+
+    @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
+    def test_kernels_get_no_inactive_mask(self, monkeypatch, strategy):
+        # The chunk has inactive lanes of every kind, and the sweep hands
+        # the kernels none of them, so no zeroing pass runs.
+        alpha, beta, mu = _edge_lanes()
+        grid = _edge_grid(alpha, beta, mu)
+        spy = _SpyKernel(montecarlo._KERNELS[strategy])
+        monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
+        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        assert len(spy.terms) == grid.size
+        assert all(terms is not None and terms[-1] is None for terms in spy.terms)
+
+    @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
+    def test_consumed_power_not_reduced_over_the_tail(self, monkeypatch, strategy):
+        # A lane at or above the budget consumes exactly the budget, so its
+        # consumed power is not read back. Per budget the moments reduce the
+        # capacity of the unsettled lanes, the settling prefix a second time
+        # (its thresholds), and DF's lanes below the budget that did not
+        # settle, which together are the unsettled lanes below the budget.
+        alpha, beta, mu = _edge_lanes()
+        grid = _edge_grid(alpha, beta, mu)
+        spy = _SpyKernel(montecarlo._KERNELS[strategy])
+        monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
+        reduced = []
+        moments = montecarlo._moments
+        monkeypatch.setattr(montecarlo, "_moments",
+                            lambda row: reduced.append(row.size) or moments(row))
+        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        a, b, m = spy.calls[0][:3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = np.searchsorted(np.sort(montecarlo._THRESHOLDS[strategy](a, b, m)), grid)
+        tails = [call[0].size for call in spy.calls]
+        bound = sum(tail + max(0, j - (a.size - tail)) for tail, j in zip(tails, below))
+        assert sum(reduced) <= bound
+        assert bound < 2 * sum(tails) - a.size  # the tail above the budget is large
+
+    def test_df_lanes_behind_a_lane_that_does_not_balance(self):
+        # Where the second cut is nearly flat, a DF lane can keep full power
+        # at budgets above its balancing gain. It does not settle there, nor
+        # does the lane sorted behind it, whose consumed power below the
+        # budget must then be read from the kernel's row.
+        s_first = 13245940493.545452
+        alpha = np.array([10.31339689757713, (1e6 - 1.0) / (s_first + 5.0)])
+        beta = np.array([2.5249889848273144, 0.0])
+        mu = np.array([4.084531441252843, 1e6])
+        s = df_balancing_gain(alpha, beta, mu)
+        p = s_first * (1.0 + 1e-9)
+        assert s[0] == s_first and s[0] < s[1] < p
+        assert np.array_equal(df_batch(alpha, beta, mu, p)[1], [p, s[1]])
+        grid = np.array([1.0, p, 2.0 * p])
+        n, sums, m2 = montecarlo._chunk_moments(Strategy.DF, alpha, beta, mu, grid)
+        for i, p_r in enumerate(grid):
+            values = np.array(df_batch(alpha, beta, mu, p_r))
+            np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)

@@ -57,20 +57,14 @@ def _second_hop_gain(alpha, beta, p_r):
     return (alpha - beta) / (beta + 1 / p_r)
 
 
-def df_balancing_gain(alpha, beta, mu, where=True):
+def df_balancing_gain(alpha, beta, mu):
     """Cut-balancing gain (mu-1)/(alpha-beta*mu), the relay power beyond which
     the DF capacity and consumed power are constant; inf where it is negative
     or undefined, since there the second hop never outgrows the first.
 
-    Only the lanes in the mask `where` are computed; the others are inf. The
-    caller silences the division warnings.
+    Never NaN. The caller silences the division warnings.
     """
-    shape = np.broadcast(alpha, beta, mu, where).shape
-    gain, den = np.full(shape, np.inf), np.empty(shape)
-    np.subtract(mu, 1.0, out=gain, where=where)
-    np.multiply(beta, mu, out=den, where=where)
-    np.subtract(alpha, den, out=den, where=where)
-    np.divide(gain, den, out=gain, where=where)
+    gain = np.asarray(np.divide(np.subtract(mu, 1.0), np.subtract(alpha, np.multiply(beta, mu))))
     np.copyto(gain, np.inf, where=np.logical_not(gain >= 0.0))
     return gain
 
@@ -93,9 +87,11 @@ def df_lane_terms(alpha, beta, mu, balancing_gain=None):
     is None when there are none.
 
     `balancing_gain`, if given, must be `df_balancing_gain(alpha, beta,
-    mu)`. If None, `df_batch` computes the gain at each call, only on lanes
-    where the second cut is the larger.
+    mu)`; a caller that already holds it passes it.
     """
+    if balancing_gain is None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            balancing_gain = df_balancing_gain(alpha, beta, mu)
     return balancing_gain, df_first_cut(mu), alpha - beta, _inactive(df_active(alpha, beta, mu))
 
 
@@ -106,8 +102,9 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
     The only DF capacity formula in the package:
     0.5*min(log2(mu), log2(1 + (alpha-beta)*P_r/(1+beta*P_r))), zero when
     alpha <= beta. Consumed power equals the squared gain because the
-    re-encoded symbol has unit power: full power, or the cut-balancing gain
-    (mu-1)/(alpha-beta*mu) when the second hop is the stronger cut.
+    re-encoded symbol has unit power: full power, or, on the lanes where
+    the second hop is the stronger cut, the cut-balancing gain
+    (mu-1)/(alpha-beta*mu) capped at P_r.
 
     `lanes`, if given, must be `df_lane_terms(alpha, beta, mu, ...)`: a
     caller that evaluates the same lanes at several budgets computes it
@@ -132,17 +129,14 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
         second *= _HALF_LOG2_E
         del snr
         capacity = _zero_where(np.minimum(first, second), inactive)
-        # Full power, or the balancing gain, computed only where the second
-        # cut is the larger. It lies in [0, P_r] there; where rounding at
-        # equal cuts pushes it out, P_r is its limit.
+        # Full power, or the balancing gain where the second cut is the
+        # larger. The gain lies in [0, P_r] there; where rounding at equal
+        # cuts pushes it out, P_r is its limit.
         consumed = _zero_where(np.full_like(capacity, p_r), inactive)
         balancing = second > first
         if inactive is not None:
             balancing = balancing & ~inactive
-        if np.any(balancing):
-            gain = (df_balancing_gain(alpha, beta, mu, where=balancing)
-                    if balancing_gain is None else balancing_gain)
-            np.copyto(consumed, gain, where=balancing & (gain <= p_r))
+        np.minimum(balancing_gain, p_r, out=consumed, where=balancing)
     return capacity, consumed
 
 

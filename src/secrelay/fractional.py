@@ -271,8 +271,11 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
     `fun` must accept a numpy array and evaluate elementwise. Ties resolve to
     the smallest x (first grid argmax; the section search keeps the left side
     on equal values). Each section step evaluates `fun` once: the surviving
-    interior point keeps its value. Deliberately brute force: this is the
-    oracle the analytic solvers are checked against.
+    interior point keeps its value. The search stops once the bracket is
+    within `refine_tol`, or when a step leaves it unshrunk: where float
+    spacing exceeds `refine_tol` (above x = 8192 for 1e-12) the bracket
+    cannot get that narrow. Deliberately brute force: this is the oracle
+    the analytic solvers are checked against.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -303,6 +306,8 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
             hi, d, fd, fc = d, c, fc, None
         else:
             lo, c, fc, fd = c, d, fd, None
+        if not hi - lo < span:
+            break  # float spacing, not refine_tol, bounds the bracket here
     x_star = 0.5 * (lo + hi)
     f_star = _scalar(x_star)
     # Keep the grid point only when refinement made things strictly worse

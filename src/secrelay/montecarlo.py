@@ -11,18 +11,19 @@ config seed. Samples are drawn in chunks of _CHUNK rows of six standard
 normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
 implementation. A sweep holds the chunk it evaluates and the normals of the
-next one, which one helper thread draws meanwhile (numpy's Generator
-releases the GIL for the fill), so its memory does not grow with the sample
-count or the number of variances. Each sample's |h|^2 values are formed
-as derive_params forms them from a sample_channel draw, bit for bit. The
-sweep leaves out the samples a kernel gives zero at every budget
-(af_active, df_active), evaluates the kernels only on samples whose output
-still depends on the budget, and hands them every per-sample term that does
-not depend on it, built once per chunk, curve and strategy, as their
-`lanes=` argument. Per budget it reduces only the capacities of the
-samples not yet settled: a sample consumes the budget itself while its AF
-saturation budget or DF balancing gain is at or above it, and that
-threshold, which the sweep holds sorted, once it has settled.
+next one, which a thread started for that chunk draws meanwhile (numpy's
+Generator releases the GIL for the fill), so its memory does not grow with
+the sample count or the number of variances. Each sample's |h|^2 values are
+formed as derive_params forms them from a sample_channel draw, bit for bit,
+and, as there, a value that overflows is a ValueError. The sweep leaves out
+the samples a kernel gives zero at every budget (af_active, df_active),
+evaluates the kernels only on samples whose output still depends on the
+budget, and hands them every per-sample term that does not depend on it,
+built once per chunk, curve and strategy, as their `lanes=` argument. Per
+budget it reduces only the capacities of the samples not yet settled: a
+sample consumes the budget itself while its AF saturation budget or DF
+balancing gain is at or above it, and that threshold, which the sweep holds
+sorted, once it has settled.
 """
 
 from __future__ import annotations
@@ -155,56 +156,43 @@ def _chunks(cfg: EnsembleConfig):
     samples.
 
     Successive standard_normal calls on one generator give the same stream,
-    row for row, as one (n_samples, 6) draw. A helper thread draws each
-    block into a buffer allocated here while the caller works on the block
-    before; the buffer is dropped as soon as the block's terms are copied
-    out of it. Close the generator to stop and join the helper; a draw
-    error is raised here.
+    row for row, as one (n_samples, 6) draw. One thread per block draws it
+    into a fresh buffer while the caller works on the block before; the
+    buffer is allocated only after the previous one is dropped, as soon as
+    that block's terms are copied out of it. Each thread is joined before
+    its block is read, and on close; a draw error is raised here.
     """
     rng = np.random.default_rng(cfg.seed)
     p_s = db_to_linear(cfg.p_s_dbw)
     sizes = [min(_CHUNK, cfg.n_samples - start) for start in range(0, cfg.n_samples, _CHUNK)]
-    # slot[0] is the buffer the helper fills next, or None to stop it. It is
-    # written here before `handed` is released, and read by the helper only
-    # after acquiring `handed`.
-    slot = [np.empty((sizes[0], 6))]
-    handed, drawn, errors = threading.Semaphore(1), threading.Semaphore(0), []
-    helper = threading.Thread(target=_draw_ahead, args=(rng, slot, handed, drawn, errors),
-                              daemon=True)
-    helper.start()
-    try:
-        for m_next in sizes[1:] + [0]:
-            drawn.acquire()
-            if errors:
-                raise errors[0]
-            params = _params_from_normals(cfg, p_s, slot[0])
-            slot[0] = None  # freed before the next buffer is allocated
-            slot[0] = np.empty((m_next, 6)) if m_next else None
-            handed.release()
-            yield params
-    finally:
-        slot[0] = None
-        handed.release()
-        helper.join()
+    error = None
 
-
-def _draw_ahead(rng, slot, handed, drawn, errors):
-    # Helper thread: fill each buffer handed over in slot[0] with the next
-    # rows of normals, until it is None. It allocates no array and keeps no
-    # reference to a filled buffer.
-    while True:
-        handed.acquire()
-        z = slot[0]
-        if z is None:
-            return
+    def fill(z):
+        nonlocal error
         try:
             rng.standard_normal(out=z)
         except BaseException as exc:  # re-raised by the caller, never lost
-            errors.append(exc)
-            return
-        finally:
-            z = None
-            drawn.release()
+            error = exc
+
+    def draw(m):
+        z = np.empty((m, 6))
+        thread = threading.Thread(target=fill, args=(z,), daemon=True)
+        thread.start()
+        return thread, z
+
+    thread, z = draw(sizes[0])
+    try:
+        for m_next in sizes[1:] + [0]:
+            thread.join()
+            if error is not None:
+                raise error
+            params = _params_from_normals(cfg, p_s, z)
+            z = None  # freed before the next buffer is allocated
+            if m_next:
+                thread, z = draw(m_next)
+            yield params
+    finally:
+        thread.join()
 
 
 def _abs2_of_gain(var: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -222,10 +210,22 @@ def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
     # Every array returned is a copy, so that z is freed before the chunk is
     # evaluated. Only alpha depends on var_hd: the normals behind h_d are
     # kept to build it for each curve.
-    beta = _abs2_of_gain(cfg.var_he, z[:, 4], z[:, 5])
-    mu = _abs2_of_gain(cfg.var_hr, z[:, 0], z[:, 1])
-    np.multiply(mu, p_s, out=mu)
-    return z[:, 2].copy(), z[:, 3].copy(), beta, np.add(mu, 1.0, out=mu)
+    with np.errstate(over="ignore"):  # overflowed lanes are rejected below
+        beta = _abs2_of_gain(cfg.var_he, z[:, 4], z[:, 5])
+        mu = _abs2_of_gain(cfg.var_hr, z[:, 0], z[:, 1])
+        np.multiply(mu, p_s, out=mu)
+    np.add(mu, 1.0, out=mu)
+    return (z[:, 2].copy(), z[:, 3].copy(), _finite(beta, "beta = |h_e|^2", "var_he", cfg.var_he),
+            _finite(mu, "mu = 1 + p_s*|h_r|^2", "var_hr", cfg.var_hr))
+
+
+def _finite(values, name, field, var):
+    """`values`, a chunk's nonnegative per-sample terms, or a ValueError
+    naming the variance `field` if a lane overflowed. One max-reduce: inf
+    and NaN both fail."""
+    if not values.max() < math.inf:
+        raise ValueError(f"{field}={var!r} is too large: {name} overflows on a sampled channel")
+    return values
 
 
 def _moments(row):
@@ -340,7 +340,9 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
     with closing(_chunks(cfg)) as chunks:
         for x_d, y_d, beta, mu in chunks:
             for k, curve in enumerate(cfgs):
-                alpha = _abs2_of_gain(curve.var_hd, x_d, y_d)
+                with np.errstate(over="ignore"):
+                    alpha = _finite(_abs2_of_gain(curve.var_hd, x_d, y_d), "alpha = |h_d|^2",
+                                    "var_hd", curve.var_hd)
                 for strategy in cfg.strategies:
                     chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
                     totals[k, strategy] = _merge(totals[k, strategy], chunk)

@@ -454,3 +454,37 @@ def test_import_leaves_out_costly_stdlib_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True).stdout
     assert out.strip() == "[]"
+
+
+def run_in_child(*argv):
+    """The CLI in a child process under a timeout, so that a hang fails."""
+    env = {**os.environ, "PYTHONPATH": str(Path(secrelay.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "secrelay", *argv], capture_output=True,
+                          text=True, env=env, timeout=30)
+
+
+def _field(out, name):
+    return float(next(line.split()[1] for line in out.splitlines() if line.startswith(name)))
+
+
+@pytest.mark.parametrize("beta, pr", [("0", "20000"), ("1e-9", "1e5")])
+def test_genie_bound_with_its_peak_above_float_tolerance(beta, pr):
+    # The genie bound's section search peaks near x = 1e4 and 2.2e4, where
+    # float spacing exceeds its 1e-12 tolerance.
+    done = run_in_child("compute", "--strategy", "af", "--alpha", "1", "--beta", beta,
+                        "--mu", "2", "--pr", pr)
+    assert done.returncode == 0, done.stderr
+    assert abs(_field(done.stdout, "genie_bound") - _field(done.stdout, "capacity")) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("--var-hr", "1e307", "--n-samples", "1000"), "var_hr"),
+    (("--var-hd", "1e308", "--n-samples", "1000"), "var_hd"),
+    (("--var-hd", "1e308", "--n-samples", "1000", "--pr-points", "3"), "var_hd"),
+])
+def test_montecarlo_overflowing_gains_usage_error(argv, name):
+    done = run_in_child("montecarlo", *argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith(f"error: {name}=") and "nan" not in line

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +374,25 @@ class TestGridOracle:
             x_star, f_star = maximize_on_interval(np.ones_like, 2.0, n_points)
             assert 0.0 <= x_star <= 1e-12
             assert f_star == 1.0
+
+    def test_section_search_stops_where_float_spacing_exceeds_the_tolerance(self):
+        # Brackets above x = 8192 cannot shrink below refine_tol = 1e-12;
+        # without the stall stop these calls never return. Run in a child
+        # process so that a regression fails the test instead of hanging it.
+        code = (
+            "from secrelay.fractional import *\n"
+            "p = RatioQuadraticProblem(1.0, 1e-9, 2.0, 5e4)\n"
+            "print(repr((grid_oracle(p, 10001), lambda_hat_closed_form(p).lambda_hat,"
+            " lambda_hat_closed_form(p).x_hat,"
+            " maximize_on_interval(lambda x: x, 1e4, 11))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fractional.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=30, check=True).stdout
+        (x_star, f_star), lambda_hat, x_hat, ramp = eval(out)
+        assert f_star == lambda_hat
+        assert abs(x_star - x_hat) <= 1e-6 * x_hat
+        assert ramp == (1e4, 1e4)
 
     def test_flat_objective_resolves_to_smallest_x(self):
         x_star, f_star = grid_oracle(RatioQuadraticProblem(2.0, 2.0, 5.0, 3.0), 10_001)

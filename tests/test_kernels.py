@@ -372,36 +372,49 @@ def test_kernels_match_frozen_expressions_on_scalars(kernel, frozen, case):
     assert_same_bits(kernel(*lanes), frozen(*lanes))
 
 
-def test_balancing_gain_only_on_masked_lanes():
+def test_balancing_gain_is_the_ratio_or_inf():
     alpha, beta, mu = _kernel_lanes()
     with np.errstate(divide="ignore", invalid="ignore"):
-        full = df.df_balancing_gain(alpha, beta, mu)
+        gain = df.df_balancing_gain(alpha, beta, mu)
         ratio = (mu - 1.0) / (alpha - beta * mu)
-    assert np.array_equal(full, np.where(ratio >= 0.0, ratio, np.inf))
-    mask = np.random.default_rng(43).uniform(size=alpha.size) < 0.1
+    assert np.array_equal(gain, np.where(ratio >= 0.0, ratio, np.inf))
+    assert np.isinf(gain).any() and not np.isnan(gain).any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        masked = df.df_balancing_gain(alpha, beta, mu, where=mask)
-    assert np.array_equal(masked[mask], full[mask])
-    assert np.all(masked[~mask] == np.inf)
+        assert [float(df.df_balancing_gain(*case)) for case in
+                [(4.0, 1.0, 3.0), (2.0, 1.0, 3.0), (2.0, 2.0, 1.0)]] == [2.0, math.inf, math.inf]
 
 
-def test_df_batch_computes_the_gain_where_the_second_cut_is_larger(monkeypatch):
-    masks = []
-    gain = df.df_balancing_gain
-    monkeypatch.setattr(df, "df_balancing_gain",
-                        lambda *args, where: masks.append(where) or gain(*args, where=where))
+def test_df_batch_consumed_power_is_the_gain_where_the_second_cut_is_larger():
+    # At budgets equal to each lane's balancing gain and one ulp either
+    # side, where the two cuts tie up to rounding; lanes 500-600 have an inf
+    # gain, and the alpha <= beta lanes are inactive.
     alpha, beta, mu = _kernel_lanes()
-    df_batch(alpha, beta, mu, 2.5)
-    (mask,) = masks
     with np.errstate(divide="ignore", invalid="ignore"):
-        second = np.log1p((alpha - beta) / (beta + 1 / 2.5)) * (0.5 / math.log(2.0))
-    assert np.array_equal(mask, (alpha > beta) & (second > 0.5 * np.log2(mu)))
-    assert 0 < np.count_nonzero(mask) < alpha.size
+        gain = df.df_balancing_gain(alpha, beta, mu)
+    active = alpha > beta
+    own = np.where(np.isfinite(gain), gain, 1.0)
+    takes = {"gain": 0, "budget where the gain rounds above it": 0, "full power": 0}
+    for p_r in (own, np.nextafter(own, 0.0), np.nextafter(own, np.inf)):
+        _, consumed = df_batch(alpha, beta, mu, p_r)
+        with np.errstate(divide="ignore", over="ignore"):
+            snr = _frozen_second_hop_gain(alpha, beta, p_r)
+        # Subnormal gains, as at p_r = 5e-324, are redone exactly, as the kernel does.
+        redo = active & (p_r > 0.0) & ~(snr >= sys.float_info.min)
+        snr = _frozen_exact_lanes(_frozen_second_hop_gain, snr, redo, alpha, beta, p_r)
+        second = np.log1p(snr) * (0.5 / math.log(2.0))
+        larger = active & (second > 0.5 * np.log2(mu))
+        balancing = larger & (gain <= p_r)
+        want = np.where(balancing, gain, np.where(active, p_r, 0.0))
+        assert_same_bits((consumed,), (want,))
+        takes["gain"] += np.count_nonzero(balancing)
+        takes["budget where the gain rounds above it"] += np.count_nonzero(larger & ~balancing)
+        takes["full power"] += np.count_nonzero(active & ~larger & np.isfinite(gain))
+    assert min(takes.values()) > 0, takes
 
 
 def kernel_terms(kernel, alpha, beta, mu):
     """The budget-independent lane terms of `kernel`, as the Monte Carlo
-    sweep passes them: every term computed, the DF balancing gain too."""
+    sweep passes them: with the threshold it already holds."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kernel is af_batch:
             return {"lanes": af.af_lane_terms(alpha, beta, mu)}
@@ -446,7 +459,10 @@ def test_given_terms_change_no_bit_on_active_lanes(kernel, frozen):
 def test_df_terms_without_the_gain_change_no_bit():
     alpha, beta, mu = _kernel_lanes()
     lanes = df.df_lane_terms(alpha, beta, mu)
-    assert lanes[0] is None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = df.df_balancing_gain(alpha, beta, mu)
+    assert lanes[-1] is not None
+    assert_same_bits(lanes, df.df_lane_terms(alpha, beta, mu, balancing_gain=gain))
     for p_r in _lane_budgets(alpha, beta, mu):
         assert_same_bits(df_batch(alpha, beta, mu, p_r, lanes=lanes), df_batch(alpha, beta, mu, p_r))
 

@@ -1,8 +1,10 @@
 import math
+import re
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from contextlib import closing
 from dataclasses import replace
 
@@ -364,6 +366,33 @@ class TestSharedDraw:
                 tracemalloc.stop()
 
         assert peak(16) <= peak(1) + 2**20
+
+
+class TestOverflow:
+    """Variances so large that a sampled |h|^2 overflows are a ValueError
+    naming the variance, raised without a warning, with the draw joined."""
+
+    @pytest.mark.parametrize("field, var, name", [
+        ("var_hr", 1e307, "mu"), ("var_he", 1e308, "beta"), ("var_hd", 1e308, "alpha")])
+    def test_overflowed_gain_rejected(self, field, var, name):
+        cfg = EnsembleConfig(**{**SMALL, field: var})
+        baseline = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{field}={var!r} is too large: {name} =")):
+                ergodic_sweep(cfg)
+        assert threading.active_count() == baseline
+
+    def test_one_overflowing_curve_rejects_the_sweep(self):
+        cfgs = [EnsembleConfig(**SMALL), EnsembleConfig(**{**SMALL, "var_hd": 1e308})]
+        with pytest.raises(ValueError, match="var_hd=1e\\+308"):
+            ergodic_sweep(*cfgs)
+
+    def test_largest_finite_gains_accepted(self):
+        # Every lane finite: the check rejects nothing a sweep could evaluate.
+        cfg = EnsembleConfig(**{**SMALL, "var_hd": 1e300, "var_he": 1e300})
+        records = ergodic_sweep(cfg)
+        assert all(math.isfinite(r.mean_capacity) for r in records)
 
 
 class _DrawError(RuntimeError):

@@ -58,7 +58,6 @@ from .montecarlo import (
     af_batch,
     df_batch,
     ergodic_sweep,
-    sample_channel,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "mutual_info_destination",
     "mutual_info_eavesdropper",
     "pi_of_lambda",
-    "sample_channel",
     "second_hop_secrecy_capacity",
     "select_phi",
     "source_relay_capacity",

@@ -40,12 +40,14 @@ EXIT_VERIFY = 2
 # Most budget points one `sweep` or `montecarlo` run evaluates (for
 # `montecarlo`, curves x budgets per curve); bounds its run time and memory.
 MAX_SWEEP_POINTS = 100_000
+# Most draws one `verify` run takes: each suite draws its parameters for all
+# of them at once, so this bounds its memory (32 MB at the limit).
+MAX_VERIFY_DRAWS = 1_000_000
 
 _SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 
 _SEED_ENV = "SECRELAY_SEED"
-_FAULT_ENV = "SECRELAY_FAULT_INJECT"
 
 
 class _UsageError(Exception):
@@ -312,11 +314,10 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.draws < 1:
-        raise _UsageError("--draws must be at least 1")
+    if not 1 <= args.draws <= MAX_VERIFY_DRAWS:
+        raise _UsageError(f"--draws must be between 1 and {MAX_VERIFY_DRAWS}")
     seed = args.seed if args.seed is not None else _default_seed()
-    fault = bool(os.environ.get(_FAULT_ENV))
-    results = run_all(draws=args.draws, seed=seed, fault_inject=fault)
+    results = run_all(draws=args.draws, seed=seed)
     lines = [f"seed   {seed}", f"draws  {args.draws}"]
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -379,7 +380,7 @@ def _build_parser() -> _Parser:
     mc.set_defaults(func=_cmd_montecarlo)
 
     verify = sub.add_parser("verify", help="run the oracle/invariant suites")
-    verify.add_argument("--draws", type=int, default=1000)
+    verify.add_argument("--draws", type=int, default=1000, help=f"at most {MAX_VERIFY_DRAWS}")
     verify.add_argument("--seed", type=int)
     verify.add_argument("--out", help="output path (default stdout)")
     verify.set_defaults(func=_cmd_verify)

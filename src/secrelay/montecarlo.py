@@ -1,29 +1,30 @@
 """Monte Carlo sweeps of ergodic secrecy capacity over Rayleigh fading.
 
-Gains are circularly symmetric complex Gaussian (Rayleigh magnitudes) with
-configurable per-link variances. One set of channel realizations is drawn per
-sweep and reused across every budget grid point, both strategies and every
-destination variance swept together (common random numbers), which slashes
-comparison variance and makes the DF-beats-AF ordering hold sample by sample.
+Each link gain is circularly symmetric Gaussian (a Rayleigh magnitude) with a
+configurable per-link variance var, and the capacities depend on a draw only
+through alpha = |h_d|^2, beta = |h_e|^2 and mu = 1 + p_s*|h_r|^2. One set of
+channel realizations is drawn per sweep and reused across every budget grid
+point, both strategies and every destination variance swept together
+(common random numbers), which slashes comparison variance and makes the
+DF-beats-AF ordering hold sample by sample.
 
 Randomness comes from numpy's default PCG64 generator seeded with the 64-bit
 config seed. Samples are drawn in chunks of _CHUNK rows of six standard
 normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
-implementation. A sweep holds the chunk it evaluates and the normals of the
-next one, which a thread started for that chunk draws meanwhile (numpy's
+implementation. A sweep holds the chunk it evaluates and one buffer of
+normals, into which one helper thread draws the next chunk meanwhile (numpy's
 Generator releases the GIL for the fill), so its memory does not grow with
-the sample count or the number of variances. Each sample's |h|^2 values are
-formed as derive_params forms them from a sample_channel draw, bit for bit,
-and, as there, a value that overflows is a ValueError. The sweep leaves out
-the samples a kernel gives zero at every budget (af_active, df_active),
-evaluates the kernels only on samples whose output still depends on the
-budget, and hands them every per-sample term that does not depend on it,
-built once per chunk, curve and strategy, as their `lanes=` argument. Per
-budget it reduces only the capacities of the samples not yet settled: a
-sample consumes the budget itself while its AF saturation budget or DF
-balancing gain is at or above it, and that threshold, which the sweep holds
-sorted, once it has settled.
+the sample count or the number of variances. Each |h|^2 is var/2*(x*x + y*y)
+of a pair (x, y) of a sample's normals, and a value that overflows is a
+ValueError. The sweep leaves out the samples a kernel gives zero at every
+budget (af_active, df_active), evaluates the kernels only on samples whose
+output still depends on the budget, and hands them every per-sample term
+that does not depend on it, built once per chunk, curve and strategy, as
+their `lanes=` argument. Per budget it reduces only the capacities of the
+samples not yet settled: a sample consumes the budget itself while its AF
+saturation budget or DF balancing gain is at or above it, and that
+threshold, which the sweep holds sorted, once it has settled.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .af import af_active, af_batch, af_lane_terms, af_saturation_budget
-from .channel import ChannelRealization, Strategy, db_to_linear
+from .channel import Strategy, db_to_linear
 from .df import df_active, df_balancing_gain, df_batch, df_lane_terms
 
 __all__ = [
     "EnsembleConfig",
     "SweepRecord",
-    "sample_channel",
     "ergodic_sweep",
     "af_batch",
     "df_batch",
@@ -112,38 +112,14 @@ class SweepRecord:
     seed: int
 
 
-def _pair(z: np.ndarray, k: int) -> np.ndarray:
-    """Columns k and k+1 of the standard normals z as re + 1j*im."""
-    return z[..., k] + 1j * z[..., k + 1]
-
-
-def _gain(var: float, pair: np.ndarray) -> np.ndarray:
-    """Gain of variance var from a pair of standard normals."""
-    return math.sqrt(var / 2.0) * pair
-
-
-def _gains_from_normals(cfg: EnsembleConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (_gain(cfg.var_hr, _pair(z, 0)), _gain(cfg.var_hd, _pair(z, 2)),
-            _gain(cfg.var_he, _pair(z, 4)))
-
-
-def sample_channel(cfg: EnsembleConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization; deterministic given the generator state.
-
-    Consumes six standard normals per call, the same as one row of the
-    sweep's chunked draw, so n calls on a fresh generator give the gains of
-    the sweep's first n samples.
-    """
-    h_r, h_d, h_e = _gains_from_normals(cfg, rng.standard_normal(6))
-    return ChannelRealization(complex(h_r), complex(h_d), complex(h_e))
-
-
-_KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
-# The lanes each kernel evaluates; it gives the others (0, 0) at every budget.
-_ACTIVE = {Strategy.AF: af_active, Strategy.DF: df_active}
-_THRESHOLDS = {Strategy.AF: af_saturation_budget, Strategy.DF: df_balancing_gain}
+# Per strategy: the lanes its kernel evaluates (it gives the others (0, 0)
+# at every budget), the threshold past which its output is constant, and
 # (alpha, beta, mu, threshold) -> the kernel's `lanes=` terms.
-_LANE_TERMS = {Strategy.AF: af_lane_terms, Strategy.DF: df_lane_terms}
+_STRATEGIES = {
+    Strategy.AF: (af_active, af_saturation_budget, af_lane_terms),
+    Strategy.DF: (df_active, df_balancing_gain, df_lane_terms),
+}
+_KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 
 
 # Samples drawn and evaluated at a time. Larger chunks spend less time on
@@ -152,70 +128,69 @@ _CHUNK = 1 << 16
 
 
 def _chunks(cfg: EnsembleConfig):
-    """(h_d normals x, y, beta, mu) for successive blocks of at most _CHUNK
-    samples.
+    """(g_d, beta, mu) for successive blocks of at most _CHUNK samples; see
+    _params_from_normals.
 
     Successive standard_normal calls on one generator give the same stream,
-    row for row, as one (n_samples, 6) draw. One thread per block draws it
-    into a fresh buffer while the caller works on the block before; the
-    buffer is allocated only after the previous one is dropped, as soon as
-    that block's terms are copied out of it. Each thread is joined before
-    its block is read, and on close; a draw error is raised here.
+    row for row, as one (n_samples, 6) draw. One helper thread per sweep
+    draws each block into one buffer, as z[:n - start] (at most _CHUNK rows),
+    while the caller works on the block before; the caller hands the buffer
+    back once it has built a block's terms. A thread started per block is
+    placed anew each time, and on two cores often shared the caller's core
+    for a whole sweep. The helper is joined on close, and a draw error is
+    raised here. Nothing here grows with n_samples.
     """
     rng = np.random.default_rng(cfg.seed)
     p_s = db_to_linear(cfg.p_s_dbw)
-    sizes = [min(_CHUNK, cfg.n_samples - start) for start in range(0, cfg.n_samples, _CHUNK)]
+    n = cfg.n_samples
+    z = np.empty((min(_CHUNK, n), 6))
+    wanted, filled = threading.Semaphore(), threading.Semaphore(0)
+    closed = False
     error = None
 
-    def fill(z):
+    def fill():
         nonlocal error
-        try:
-            rng.standard_normal(out=z)
-        except BaseException as exc:  # re-raised by the caller, never lost
-            error = exc
+        for start in range(0, n, _CHUNK):
+            wanted.acquire()
+            if closed:
+                return
+            try:
+                rng.standard_normal(out=z[:n - start])
+            except BaseException as exc:  # re-raised by the caller, never lost
+                error = exc
+                return
+            finally:
+                filled.release()
 
-    def draw(m):
-        z = np.empty((m, 6))
-        thread = threading.Thread(target=fill, args=(z,), daemon=True)
-        thread.start()
-        return thread, z
-
-    thread, z = draw(sizes[0])
+    thread = threading.Thread(target=fill, daemon=True)
+    thread.start()
     try:
-        for m_next in sizes[1:] + [0]:
-            thread.join()
+        for start in range(0, n, _CHUNK):
+            filled.acquire()
             if error is not None:
                 raise error
-            params = _params_from_normals(cfg, p_s, z)
-            z = None  # freed before the next buffer is allocated
-            if m_next:
-                thread, z = draw(m_next)
+            params = _params_from_normals(cfg, p_s, z[:n - start])
+            wanted.release()
             yield params
     finally:
+        closed = True
+        wanted.release()
         thread.join()
 
 
-def _abs2_of_gain(var: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|h|^2 lanewise for the gain h = sqrt(var/2)*(x + 1j*y), formed as
-    channel._abs2 forms it, (s*x)**2 + (s*y)**2, so that it equals the value
-    derive_params gives a sample_channel draw bit for bit. Built in place:
-    no complex temporary, and one real one."""
-    s = math.sqrt(var / 2.0)
-    re, im = np.multiply(x, s), np.multiply(y, s)
-    np.square(re, out=re)
-    return np.add(re, np.square(im, out=im), out=re)
-
-
 def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
-    # Every array returned is a copy, so that z is freed before the chunk is
-    # evaluated. Only alpha depends on var_hd: the normals behind h_d are
-    # kept to build it for each curve.
+    """(g_d, beta, mu) of one block z of standard normals, squared in place.
+    Columns (0, 1), (2, 3), (4, 5) give h_r, h_d, h_e: each |h|^2 is
+    var/2*(x*x + y*y), and g_d = x*x + y*y, which each curve scales by
+    var_hd/2. All three are fresh, so that z can be refilled meanwhile."""
+    np.square(z, out=z)
+    g_r, g_d, g_e = (np.add(z[:, k], z[:, k + 1]) for k in (0, 2, 4))
     with np.errstate(over="ignore"):  # overflowed lanes are rejected below
-        beta = _abs2_of_gain(cfg.var_he, z[:, 4], z[:, 5])
-        mu = _abs2_of_gain(cfg.var_hr, z[:, 0], z[:, 1])
+        beta = np.multiply(g_e, cfg.var_he / 2.0, out=g_e)
+        mu = np.multiply(g_r, cfg.var_hr / 2.0, out=g_r)
         np.multiply(mu, p_s, out=mu)
     np.add(mu, 1.0, out=mu)
-    return (z[:, 2].copy(), z[:, 3].copy(), _finite(beta, "beta = |h_e|^2", "var_he", cfg.var_he),
+    return (g_d, _finite(beta, "beta = |h_e|^2", "var_he", cfg.var_he),
             _finite(mu, "mu = 1 + p_s*|h_r|^2", "var_hr", cfg.var_hr))
 
 
@@ -280,16 +255,17 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     otherwise read only to find the settling prefix.
     """
     size = alpha.size
-    lanes = np.flatnonzero(_ACTIVE[strategy](alpha, beta, mu))
+    active, threshold_of, lane_terms = _STRATEGIES[strategy]
+    lanes = np.flatnonzero(active(alpha, beta, mu))
     alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        threshold = _THRESHOLDS[strategy](alpha, beta, mu)
+        threshold = threshold_of(alpha, beta, mu)
     order = np.argsort(threshold)
     alpha, beta, mu, threshold = (a.take(order) for a in (alpha, beta, mu, threshold))
     del lanes, order  # not held through the budget loop
     below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
     kernel = _KERNELS[strategy]
-    terms = _LANE_TERMS[strategy](alpha, beta, mu, threshold)
+    terms = lane_terms(alpha, beta, mu, threshold)
     tail = terms
     out = []  # per budget, the moments of capacity and of consumed power
     settled_capacity = settled_consumed = (0, 0.0, 0.0)
@@ -338,10 +314,10 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
         raise ValueError("configs swept together may differ only in var_hd")
     totals = {(k, s): (0, 0.0, 0.0) for k in range(len(cfgs)) for s in cfg.strategies}
     with closing(_chunks(cfg)) as chunks:
-        for x_d, y_d, beta, mu in chunks:
+        for g_d, beta, mu in chunks:
             for k, curve in enumerate(cfgs):
                 with np.errstate(over="ignore"):
-                    alpha = _finite(_abs2_of_gain(curve.var_hd, x_d, y_d), "alpha = |h_d|^2",
+                    alpha = _finite(g_d * (curve.var_hd / 2.0), "alpha = |h_d|^2",
                                     "var_hd", curve.var_hd)
                 for strategy in cfg.strategies:
                     chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)

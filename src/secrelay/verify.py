@@ -10,7 +10,7 @@ given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,24 +208,13 @@ def df_properties(draws: int, rng: np.random.Generator) -> SuiteResult:
     )
 
 
-def run_all(draws: int = 1000, seed: int = DEFAULT_SEED,
-            fault_inject: bool = False, oracle_points: int = 200_001) -> list[SuiteResult]:
-    """Run every suite on independent substreams of one seed.
-
-    `fault_inject` perturbs the first suite's residual; it exists so the
-    failure path (nonzero exit) can itself be exercised.
-    """
+def run_all(draws: int = 1000, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
+    """Run every suite on independent substreams of one seed."""
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(5)]
-    results = [
-        solver_vs_oracle(draws, streams[0], n_points=oracle_points),
+    return [
+        solver_vs_oracle(draws, streams[0]),
         solver_consistency(draws, streams[1]),
-        converse_tightness(draws, streams[2], n_points=oracle_points),
+        converse_tightness(draws, streams[2]),
         ratio_identity(draws * 10, streams[3]),
         df_properties(draws, streams[4]),
     ]
-    if fault_inject:
-        first = results[0]
-        bumped = dict(first.residuals)
-        bumped["capacity_gap"] = bumped["capacity_gap"] + 1e-3
-        results[0] = replace(first, residuals=bumped)
-    return results

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import secrelay
-from secrelay import cli
+from secrelay import cli, verify
 from secrelay.cli import main
-from secrelay.verify import solver_consistency
+from secrelay.verify import SuiteResult, solver_consistency
 
 MC_SMALL = [
     "montecarlo",
@@ -407,10 +407,27 @@ class TestVerify:
         assert "no draw evaluated" in res.summary()
 
     def test_fault_injection_trips_gate(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECRELAY_FAULT_INJECT", "1")
+        monkeypatch.setattr(verify, "df_properties", lambda draws, rng: SuiteResult(
+            "df_properties", {"min_cut_gap": 1e-3}, {"min_cut_gap": 1e-12}, draws))
         code, out, _ = run(capsys, "verify", "--draws", "5", "--seed", "3")
         assert code == 2
-        assert "FAIL" in out
+        assert "FAIL  df_properties" in out
+        assert "RESULT: FAIL (4/5 suites)" in out
+
+    def test_draw_limit_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_VERIFY_DRAWS", 5)
+        code, out, _ = run(capsys, "verify", "--draws", "5", "--seed", "3")
+        assert code == 0 and "RESULT: PASS" in out
+        code, out, err = run(capsys, "verify", "--draws", "6", "--seed", "3")
+        assert code == 1 and out == ""
+        assert err == "error: --draws must be between 1 and 5\n"
+
+    def test_huge_draw_count_rejected_before_drawing(self):
+        # Each suite draws its parameters for every draw at once: 10**9
+        # draws would need 7.5 GiB per array.
+        done = run_in_child("verify", "--draws", str(10**9))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"error: --draws must be between 1 and {cli.MAX_VERIFY_DRAWS}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,10 +473,19 @@ def test_import_leaves_out_costly_stdlib_modules():
     assert out.strip() == "[]"
 
 
+# Address space of a child CLI run, about 3x what `montecarlo` maps at its
+# defaults: an allocation that grows with a flag's value fails in the child.
+CHILD_ADDRESS_SPACE = 2**30
+
+
 def run_in_child(*argv):
-    """The CLI in a child process under a timeout, so that a hang fails."""
+    """The CLI in a child process under a timeout, so that a hang fails, and
+    under CHILD_ADDRESS_SPACE."""
     env = {**os.environ, "PYTHONPATH": str(Path(secrelay.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-m", "secrelay", *argv], capture_output=True,
+    code = ("import resource, runpy; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2); "
+            "runpy.run_module('secrelay', run_name='__main__', alter_sys=True)")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=env, timeout=30)
 
 
@@ -481,6 +507,8 @@ def test_genie_bound_with_its_peak_above_float_tolerance(beta, pr):
     (("--var-hr", "1e307", "--n-samples", "1000"), "var_hr"),
     (("--var-hd", "1e308", "--n-samples", "1000"), "var_hd"),
     (("--var-hd", "1e308", "--n-samples", "1000", "--pr-points", "3"), "var_hd"),
+    # The first chunk is rejected before anything grows with --n-samples.
+    (("--var-hd", "1e308", "--n-samples", str(10**14), "--pr-points", "1"), "var_hd"),
 ])
 def test_montecarlo_overflowing_gains_usage_error(argv, name):
     done = run_in_child("montecarlo", *argv)

@@ -13,14 +13,20 @@ import pytest
 
 from secrelay import montecarlo
 from secrelay.af import af_saturation_budget, af_secrecy_capacity
-from secrelay.channel import DerivedParams, PowerBudget, Strategy, db_to_linear, derive_params
+from secrelay.channel import (
+    ChannelRealization,
+    DerivedParams,
+    PowerBudget,
+    Strategy,
+    db_to_linear,
+    derive_params,
+)
 from secrelay.df import df_balancing_gain, df_secrecy_capacity
 from secrelay.montecarlo import (
     EnsembleConfig,
     af_batch,
     df_batch,
     ergodic_sweep,
-    sample_channel,
 )
 
 SMALL = dict(p_r_grid=(0.0, 0.5, 2.0, 8.0), n_samples=2000, seed=7)
@@ -77,72 +83,72 @@ class TestConfigValidation:
         assert cfg == EnsembleConfig(seed=5, n_samples=5)
 
 
-class TestSampling:
-    def test_determinism(self):
-        cfg = EnsembleConfig(**SMALL)
-        rng = np.random.default_rng(5)
-        seq = [sample_channel(cfg, rng) for _ in range(3)]
-        assert len(set((c.h_r, c.h_d, c.h_e) for c in seq)) == 3  # stream advances
-        one = np.random.default_rng(5)
-        two = np.random.default_rng(5)
-        for _ in range(5):
-            assert sample_channel(cfg, one) == sample_channel(cfg, two)
+def _gains(cfg, z):
+    """h_r, h_d, h_e of the standard normals z, each sqrt(var/2)*(x + 1j*y)
+    of its pair of columns."""
+    return tuple(math.sqrt(var / 2.0) * (z[..., k] + 1j * z[..., k + 1])
+                 for var, k in ((cfg.var_hr, 0), (cfg.var_hd, 2), (cfg.var_he, 4)))
 
+
+def _sweep_lanes(monkeypatch, cfg):
+    """The (alpha, beta, mu) of every sample, chunk by chunk, as the sweep
+    hands them to the strategy's evaluation."""
+    lanes = []
+    moments = montecarlo._chunk_moments
+    monkeypatch.setattr(montecarlo, "_chunk_moments", lambda strategy, *args: (
+        lanes.append(args[:3]) or moments(strategy, *args)))
+    ergodic_sweep(replace(cfg, strategies=(Strategy.DF,)))
+    return tuple(np.concatenate(column) for column in zip(*lanes))
+
+
+class TestSampling:
     @pytest.mark.parametrize("var", [1.0, 4.0])
-    def test_mean_square_gain_matches_variance(self, var):
-        cfg = EnsembleConfig(var_hd=var, **SMALL)
-        rng = np.random.default_rng(8)
-        n = 300_000
-        mags = np.empty(n)
-        z = rng.standard_normal((n, 6))
-        h_d = math.sqrt(var / 2.0) * (z[:, 2] + 1j * z[:, 3])
-        mags = np.abs(h_d) ** 2
-        se = mags.std(ddof=1) / math.sqrt(n)
-        assert abs(mags.mean() - var) <= 5.0 * se
-        # and the scalar sampler uses the same scaling
-        chans = [sample_channel(cfg, np.random.default_rng(9)) for _ in range(1)]
-        assert all(math.isfinite(abs(c.h_d)) for c in chans)
+    def test_mean_square_gain_matches_variance(self, monkeypatch, var):
+        # Each |h|^2 is exponential with mean var; mu - 1 is p_s times one.
+        cfg = EnsembleConfig(var_hr=var, var_hd=var, var_he=var,
+                             **{**SMALL, "n_samples": 300_000, "seed": 8})
+        alpha, beta, mu = _sweep_lanes(monkeypatch, cfg)
+        for power in (alpha, beta, (mu - 1.0) / db_to_linear(cfg.p_s_dbw)):
+            se = power.std(ddof=1) / math.sqrt(power.size)
+            assert abs(power.mean() - var) <= 5.0 * se
 
 
 class TestSweepInputs:
     """The per-sample (alpha, beta, mu) the sweep evaluates."""
 
     @pytest.mark.parametrize("var_hd", [1.0, 8.0, 0.3])
-    def test_lanes_equal_derive_params_of_sample_channel(self, monkeypatch, var_hd):
+    def test_lanes_equal_halved_sums_of_squares(self, monkeypatch, var_hd):
+        # Across chunk edges, bit for bit against one (n, 6) block, and to
+        # rounding against derive_params of the gains the normals stand for.
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
         cfg = EnsembleConfig(var_hr=2.0, var_hd=var_hd, var_he=0.7, p_s_dbw=7.0,
                              n_samples=2 * SMALL_CHUNK + 5, seed=31)
-        lanes = []
-        with closing(montecarlo._chunks(cfg)) as chunks:
-            for x_d, y_d, beta, mu in chunks:
-                lanes += zip(montecarlo._abs2_of_gain(var_hd, x_d, y_d), beta, mu)
-        assert len(lanes) == cfg.n_samples
-        rng = np.random.default_rng(cfg.seed)
-        pb = PowerBudget(db_to_linear(cfg.p_s_dbw), 1.0)
-        for got in lanes:
-            params = derive_params(sample_channel(cfg, rng), pb)
-            assert tuple(map(float, got)) == (params.alpha, params.beta, params.mu)
-
-    @staticmethod
-    def _peak(fn, *args):
-        tracemalloc.start()
-        try:
-            out = fn(*args)
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got = _sweep_lanes(monkeypatch, cfg)
+        z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_samples, 6))
+        x, y = z[:, 0::2], z[:, 1::2]
+        g_r, g_d, g_e = (x * x + y * y).T
+        p_s = db_to_linear(cfg.p_s_dbw)
+        want = (var_hd / 2.0 * g_d, cfg.var_he / 2.0 * g_e, 1.0 + p_s * (cfg.var_hr / 2.0 * g_r))
+        for lane, ref in zip(got, want):
+            assert np.array_equal(lane, ref)
+        pb = PowerBudget(p_s, 1.0)
+        for row, lanes in zip(z, zip(*got)):
+            params = derive_params(ChannelRealization(*map(complex, _gains(cfg, row))), pb)
+            np.testing.assert_allclose(lanes, (params.alpha, params.beta, params.mu),
+                                       rtol=1e-15, atol=0.0)
 
     def test_normals_to_terms_without_complex_temporaries(self):
+        # The normals are squared in place and each output is built in
+        # place, so the step holds no temporary beyond its outputs.
         m = 1 << 16
         z = np.random.default_rng(32).standard_normal((m, 6))
-        kept, peak = self._peak(montecarlo._params_from_normals, EnsembleConfig(**SMALL), 10.0, z)
-        # Beyond its own outputs the step holds less than half a complex
-        # array at any time, so no complex temporary fits.
-        assert peak - sum(v.nbytes for v in kept) < m * np.dtype(complex).itemsize // 2
-        # Each |h|^2 holds one real temporary beside its result.
-        x, y = z[:, 0].copy(), z[:, 1].copy()
-        power, peak = self._peak(montecarlo._abs2_of_gain, 2.0, x, y)
-        assert peak - power.nbytes <= power.nbytes + 4096
+        tracemalloc.start()
+        try:
+            kept = montecarlo._params_from_normals(EnsembleConfig(**SMALL), 10.0, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(v.nbytes for v in kept) <= 4096
 
 
 class TestKernels:
@@ -169,7 +175,8 @@ class TestSweep:
     def test_single_sample_equals_closed_form(self):
         cfg = EnsembleConfig(p_r_grid=(0.5, 2.0), n_samples=1, seed=123)
         records = ergodic_sweep(cfg)
-        ch = sample_channel(cfg, np.random.default_rng(123))
+        z = np.random.default_rng(123).standard_normal(6)
+        ch = ChannelRealization(*map(complex, _gains(cfg, z)))
         p_s = db_to_linear(cfg.p_s_dbw)
         for rec in records:
             pb = PowerBudget(p_s, rec.p_r)
@@ -234,7 +241,7 @@ def _block_reference(cfg):
     """Per-budget (mean, stderr) of capacity and consumed power from one
     (n, 6) draw and one kernel call on all samples per budget."""
     z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_samples, 6))
-    h_r, h_d, h_e = montecarlo._gains_from_normals(cfg, z)
+    h_r, h_d, h_e = _gains(cfg, z)
     alpha, beta = np.abs(h_d) ** 2, np.abs(h_e) ** 2
     mu = 1.0 + db_to_linear(cfg.p_s_dbw) * np.abs(h_r) ** 2
     n = cfg.n_samples
@@ -292,6 +299,19 @@ class TestStreaming:
                 tracemalloc.stop()
 
         assert peak(2**19) <= peak(2**17) + 2**20
+
+    def test_first_chunk_holds_nothing_per_sample_count(self, monkeypatch):
+        # 2**20 chunks of 64: a per-chunk list would take 8 MiB.
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfg = EnsembleConfig(**{**SMALL, "n_samples": 2**26})
+        tracemalloc.start()
+        try:
+            with closing(montecarlo._chunks(cfg)) as chunks:
+                next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 SHARED_VARS = (1.0, 2.0, 8.0)
@@ -425,6 +445,17 @@ class TestDrawThread:
         ergodic_sweep(self.CFG)
         assert seen and set(seen) <= {baseline, baseline + 1}
         assert threading.active_count() == baseline
+
+    def test_helper_started_once_per_sweep(self, monkeypatch):
+        # Not once per chunk: each start lets the scheduler place the thread
+        # anew, often on the caller's core.
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        ergodic_sweep(replace(self.CFG, n_samples=6 * SMALL_CHUNK + 1))
+        assert len(started) == 1
 
     def test_draw_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
@@ -585,9 +616,9 @@ class TestChunkEvaluation:
                              (df, "df_lane_terms"), (df, "df_balancing_gain")]:
             monkeypatch.setattr(module, name, fail)
         built = []
-        for strategy, terms in list(montecarlo._LANE_TERMS.items()):
-            monkeypatch.setitem(montecarlo._LANE_TERMS, strategy,
-                                lambda *a, _s=strategy, _t=terms: built.append(_s) or _t(*a))
+        for strategy, (active, threshold, terms) in list(montecarlo._STRATEGIES.items()):
+            monkeypatch.setitem(montecarlo._STRATEGIES, strategy, (
+                active, threshold, lambda *a, _s=strategy, _t=terms: built.append(_s) or _t(*a)))
         assert ergodic_sweep(*cfgs) == want
         assert built == [Strategy.AF, Strategy.DF] * (3 * len(SHARED_VARS))
 
@@ -660,7 +691,7 @@ class TestChunkEvaluation:
         montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
         a, b, m = spy.calls[0][:3]
         with np.errstate(divide="ignore", invalid="ignore"):
-            below = np.searchsorted(np.sort(montecarlo._THRESHOLDS[strategy](a, b, m)), grid)
+            below = np.searchsorted(np.sort(montecarlo._STRATEGIES[strategy][1](a, b, m)), grid)
         tails = [call[0].size for call in spy.calls]
         bound = sum(tail + max(0, j - (a.size - tail)) for tail, j in zip(tails, below))
         assert sum(reduced) <= bound

@@ -9,6 +9,7 @@ fading. The `secrelay` CLI exposes compute/sweep/montecarlo/verify commands.
 from .af import (
     SecrecyResult,
     af_achievable_rate_at,
+    af_batch,
     af_secrecy_capacity,
     mutual_info_destination,
     mutual_info_eavesdropper,
@@ -35,6 +36,7 @@ from .converse import (
     select_phi,
 )
 from .df import (
+    df_batch,
     df_secrecy_capacity,
     second_hop_secrecy_capacity,
     source_relay_capacity,
@@ -55,8 +57,6 @@ from .fractional import (
 from .montecarlo import (
     EnsembleConfig,
     SweepRecord,
-    af_batch,
-    df_batch,
     ergodic_sweep,
 )
 

@@ -43,6 +43,9 @@ MAX_SWEEP_POINTS = 100_000
 # Most draws one `verify` run takes: each suite draws its parameters for all
 # of them at once, so this bounds its memory (32 MB at the limit).
 MAX_VERIFY_DRAWS = 1_000_000
+# Most samples one `montecarlo` run draws per curve: about half an hour at
+# the default 4 curves x 41 budgets, so a typo cannot start a months-long run.
+MAX_SAMPLES = 10**9
 
 _SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
@@ -264,6 +267,12 @@ def _cmd_montecarlo(args) -> int:
     if len(var_hd_list) * settings["pr_points"] > MAX_SWEEP_POINTS:
         raise _UsageError(f"{len(var_hd_list)} var_hd curves x {settings['pr_points']} pr_points "
                           f"exceed {MAX_SWEEP_POINTS} budget points per run")
+    if settings["n_samples"] > MAX_SAMPLES:
+        raise _UsageError(f"n_samples must be at most {MAX_SAMPLES}")
+    for key in ("pr_start", "pr_stop"):
+        # Checked before np.linspace, which warns on a span that overflows.
+        if not (math.isfinite(settings[key]) and settings[key] >= 0):
+            raise _UsageError(f"{key} must be finite and nonnegative, got {settings[key]!r}")
     grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
     strategies = _parse_strategies(str(settings["strategies"]))
     cfgs = [
@@ -371,7 +380,8 @@ def _build_parser() -> _Parser:
     mc.add_argument("--pr-stop", dest="pr_stop", type=float)
     mc.add_argument("--pr-points", dest="pr_points", type=int,
                     help=f"budgets per curve, at most {MAX_SWEEP_POINTS}")
-    mc.add_argument("--n-samples", dest="n_samples", type=int)
+    mc.add_argument("--n-samples", dest="n_samples", type=int,
+                    help=f"samples per curve, at most {MAX_SAMPLES}")
     mc.add_argument("--seed", dest="seed", type=int)
     mc.add_argument("--strategies", dest="strategies")
     mc.add_argument("--pr-axis", choices=["w", "db"], default="w",

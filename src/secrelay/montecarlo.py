@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
+import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -45,8 +45,6 @@ __all__ = [
     "EnsembleConfig",
     "SweepRecord",
     "ergodic_sweep",
-    "af_batch",
-    "df_batch",
 ]
 
 
@@ -85,6 +83,12 @@ class EnsembleConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        # The consumed power's M2 is at most n_samples*p**2/4 and its sum
+        # n_samples*p; compared so that no product can overflow.
+        square = grid[-1] * grid[-1]
+        if square and not self.n_samples <= sys.float_info.max / square:
+            raise ValueError(f"p_r_grid reaches {grid[-1]!r}: n_samples*p_r**2 must be finite "
+                             f"for n_samples={self.n_samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         strategies = tuple(self.strategies)
@@ -132,50 +136,28 @@ def _chunks(cfg: EnsembleConfig):
     _params_from_normals.
 
     Successive standard_normal calls on one generator give the same stream,
-    row for row, as one (n_samples, 6) draw. One helper thread per sweep
+    row for row, as one (n_samples, 6) draw. A one-worker executor per sweep
     draws each block into one buffer, as z[:n - start] (at most _CHUNK rows),
-    while the caller works on the block before; the caller hands the buffer
-    back once it has built a block's terms. A thread started per block is
+    while the caller works on the block before; the next draw is submitted
+    once the caller has built a block's terms. A thread started per block is
     placed anew each time, and on two cores often shared the caller's core
-    for a whole sweep. The helper is joined on close, and a draw error is
-    raised here. Nothing here grows with n_samples.
+    for a whole sweep. The worker is joined on close, and a draw error is
+    raised here. Nothing here grows with n_samples. concurrent.futures loads
+    logging, so it is imported here, not by every command at start-up.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = np.random.default_rng(cfg.seed)
     p_s = db_to_linear(cfg.p_s_dbw)
     n = cfg.n_samples
     z = np.empty((min(_CHUNK, n), 6))
-    wanted, filled = threading.Semaphore(), threading.Semaphore(0)
-    closed = False
-    error = None
-
-    def fill():
-        nonlocal error
+    with ThreadPoolExecutor(max_workers=1) as draw:
+        filled = draw.submit(rng.standard_normal, out=z[:n])
         for start in range(0, n, _CHUNK):
-            wanted.acquire()
-            if closed:
-                return
-            try:
-                rng.standard_normal(out=z[:n - start])
-            except BaseException as exc:  # re-raised by the caller, never lost
-                error = exc
-                return
-            finally:
-                filled.release()
-
-    thread = threading.Thread(target=fill, daemon=True)
-    thread.start()
-    try:
-        for start in range(0, n, _CHUNK):
-            filled.acquire()
-            if error is not None:
-                raise error
-            params = _params_from_normals(cfg, p_s, z[:n - start])
-            wanted.release()
+            params = _params_from_normals(cfg, p_s, filled.result())
+            if start + _CHUNK < n:
+                filled = draw.submit(rng.standard_normal, out=z[:n - start - _CHUNK])
             yield params
-    finally:
-        closed = True
-        wanted.release()
-        thread.join()
 
 
 def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):

@@ -265,6 +265,39 @@ class TestMonteCarlo:
         code, _, err = run(capsys, "montecarlo", "--n-samples", "0", "--pr-points", "2")
         assert code == 1
 
+    def test_sample_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 450)
+        i = MC_SMALL.index("--n-samples")
+        argv = MC_SMALL[:i] + MC_SMALL[i + 2:]
+        code, out, _ = run(capsys, *argv, "--n-samples", "450")
+        assert code == 0
+        assert out.strip().split("\n")[1].endswith(",450,11")
+        code, out, err = run(capsys, *argv, "--n-samples", "451")
+        assert code == 1 and out == ""
+        assert err == "error: n_samples must be at most 450\n"
+
+    @pytest.mark.parametrize("start, stop, bad", [
+        ("1e160", "1e161", "p_r_grid"),  # the consumed power's M2 overflowed to nan
+        ("1e308", "1.7e308", "p_r_grid"),  # its mean overflowed to inf too
+        ("0", "inf", "pr_stop"),
+        ("nan", "1", "pr_start"),
+        ("-1.7e308", "1.7e308", "pr_start"),  # np.linspace's span overflows
+    ])
+    def test_unbounded_budget_gives_one_error_line(self, start, stop, bad):
+        # In a child, so that a numpy RuntimeWarning would reach its stderr.
+        done = run_in_child("montecarlo", "--var-hd", "1", "--n-samples", "1000",
+                            "--pr-points", "2", f"--pr-start={start}", "--pr-stop", stop)
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(f"error: {bad} ")
+
+    def test_huge_sample_count_rejected_before_drawing(self):
+        # 10**14 samples would run for months without a line of output.
+        done = run_in_child("montecarlo", "--var-hd", "1", "--pr-points", "1",
+                            "--n-samples", str(10**14))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"error: n_samples must be at most {cli.MAX_SAMPLES}\n"
+
     def test_huge_source_power_usage_error(self, capsys):
         code, out, err = run(capsys, *MC_SMALL, "--ps-dbw", "4000")
         assert code == 1
@@ -508,7 +541,7 @@ def test_genie_bound_with_its_peak_above_float_tolerance(beta, pr):
     (("--var-hd", "1e308", "--n-samples", "1000"), "var_hd"),
     (("--var-hd", "1e308", "--n-samples", "1000", "--pr-points", "3"), "var_hd"),
     # The first chunk is rejected before anything grows with --n-samples.
-    (("--var-hd", "1e308", "--n-samples", str(10**14), "--pr-points", "1"), "var_hd"),
+    (("--var-hd", "1e308", "--n-samples", str(cli.MAX_SAMPLES), "--pr-points", "1"), "var_hd"),
 ])
 def test_montecarlo_overflowing_gains_usage_error(argv, name):
     done = run_in_child("montecarlo", *argv)

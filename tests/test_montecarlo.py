@@ -69,6 +69,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             EnsembleConfig(**{field: value})
 
+    def test_budget_too_large_for_the_sample_count(self):
+        # The consumed power's M2 reaches n*p**2/4; past float range the
+        # sweep gave stderr nan, and its mean inf once n*p overflowed.
+        p = math.sqrt(sys.float_info.max / 1000)
+        EnsembleConfig(p_r_grid=(0.0, p), n_samples=1000)
+        for grid, n in (((0.0, 2 * p), 1000), ((0.0, p), 4000), ((1e308,), 1)):
+            with pytest.raises(ValueError, match="p_r_grid reaches"):
+                EnsembleConfig(p_r_grid=grid, n_samples=n)
+        EnsembleConfig(p_r_grid=(0.0, 1e-200), n_samples=10**12)  # p**2 underflows
+
     def test_negative_zero_budget_stored_as_zero(self):
         cfg = EnsembleConfig(p_r_grid=(-0.0, 1.0), n_samples=3)
         assert cfg.p_r_grid == (0.0, 1.0)

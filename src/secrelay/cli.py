@@ -47,8 +47,11 @@ MAX_VERIFY_DRAWS = 1_000_000
 # the default 4 curves x 41 budgets, so a typo cannot start a months-long run.
 MAX_SAMPLES = 10**9
 
-_SOLVERS = {Strategy.AF: af_secrecy_capacity, Strategy.DF: df_secrecy_capacity}
-_KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
+# Per strategy: its scalar solver (`compute`) and its batch kernel (`sweep`).
+_STRATEGIES = {
+    Strategy.AF: (af_secrecy_capacity, af_batch),
+    Strategy.DF: (df_secrecy_capacity, df_batch),
+}
 
 _SEED_ENV = "SECRELAY_SEED"
 
@@ -132,7 +135,8 @@ def _build_inputs(args) -> tuple[ChannelRealization, DerivedParams, PowerBudget]
 def _cmd_compute(args) -> int:
     ch, params, pb = _build_inputs(args)
     strategy = Strategy(args.strategy)
-    result = _SOLVERS[strategy](params, pb)
+    solver, _ = _STRATEGIES[strategy]
+    result = solver(params, pb)
     lines = [
         f"strategy        {strategy.value}",
         f"alpha           {_fmt(params.alpha)}",
@@ -180,8 +184,8 @@ def _cmd_sweep(args) -> int:
     for strategy in strategies:
         # One kernel call over every budget; each lane is the scalar
         # function's value at that budget, bit for bit.
-        capacity, consumed = _KERNELS[strategy](params.alpha, params.beta, params.mu,
-                                                np.array(budgets))
+        _, kernel = _STRATEGIES[strategy]
+        capacity, consumed = kernel(params.alpha, params.beta, params.mu, np.array(budgets))
         x_hat = consumed / params.mu if strategy is Strategy.AF else consumed
         rows.extend([strategy, *values] for values in zip(
             budgets, capacity.tolist(), x_hat.tolist(), consumed.tolist()))

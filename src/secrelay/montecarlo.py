@@ -12,10 +12,12 @@ Randomness comes from numpy's default PCG64 generator seeded with the 64-bit
 config seed. Samples are drawn in chunks of _CHUNK rows of six standard
 normals, together the same stream, row for row, as one (n, 6) block in C
 order, so results are reproducible bit for bit for a given seed within this
-implementation. A sweep holds the chunk it evaluates and one buffer of
-normals, into which one helper thread draws the next chunk meanwhile (numpy's
-Generator releases the GIL for the fill), so its memory does not grow with
-the sample count or the number of variances. Each |h|^2 is var/2*(x*x + y*y)
+implementation. A sweep holds the chunk it evaluates and two half-chunk
+buffers of normals, together the size of one chunk. One helper thread draws
+into them, half a chunk at a time, while the caller builds the piece before
+or evaluates the chunk (numpy's Generator releases the GIL for the fill), so
+the draw runs ahead of the caller and memory does not grow with the sample
+count or the number of variances. Each |h|^2 is var/2*(x*x + y*y)
 of a pair (x, y) of a sample's normals, and a value that overflows is a
 ValueError. The sweep leaves out the samples a kernel gives zero at every
 budget (af_active, df_active), evaluates the kernels only on samples whose
@@ -24,7 +26,9 @@ that does not depend on it, built once per chunk, curve and strategy, as
 their `lanes=` argument. Per budget it reduces only the capacities of the
 samples not yet settled: a sample consumes the budget itself while its AF
 saturation budget or DF balancing gain is at or above it, and that
-threshold, which the sweep holds sorted, once it has settled.
+threshold, which the sweep holds sorted, once it has settled. At budgets
+below 2**-400 the moments are taken of values scaled by an exact power of
+two, so that their squares do not underflow.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -137,43 +142,73 @@ def _chunks(cfg: EnsembleConfig):
 
     Successive standard_normal calls on one generator give the same stream,
     row for row, as one (n_samples, 6) draw. A one-worker executor per sweep
-    draws each block into one buffer, as z[:n - start] (at most _CHUNK rows),
-    while the caller works on the block before; the next draw is submitted
-    once the caller has built a block's terms. A thread started per block is
-    placed anew each time, and on two cores often shared the caller's core
-    for a whole sweep. The worker is joined on close, and a draw error is
-    raised here. Nothing here grows with n_samples. concurrent.futures loads
-    logging, so it is imported here, not by every command at start-up.
+    (a thread started per block was placed anew each time, often on the
+    caller's core) draws the stream in pieces of at most half a chunk into
+    two half-chunk buffers in turn, one (2, ceil(m/2), 6) block of the bytes
+    of one (m, 6) chunk. The caller builds each piece's terms into its rows
+    of the chunk's fresh outputs as soon as it lands and hands its buffer
+    back for the piece two ahead, so the worker draws piece k+2 while the
+    caller builds piece k+1 or evaluates the chunk. A fill runs only if the
+    one before it succeeded, so a draw error stops the draw and is raised
+    here; the worker is joined on close. Nothing here grows with n_samples.
+    concurrent.futures loads logging, so it is imported here, not by every
+    command at start-up.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(cfg.seed)
     p_s = db_to_linear(cfg.p_s_dbw)
     n = cfg.n_samples
-    z = np.empty((min(_CHUNK, n), 6))
+    half = -(-min(_CHUNK, n) // 2)
+    drawn = 0  # rows handed to the worker so far
+
+    def fill(after, z):
+        if after is not None:
+            after.result()  # a failed draw stops the ones behind it
+        return rng.standard_normal(out=z)
+
     with ThreadPoolExecutor(max_workers=1) as draw:
-        filled = draw.submit(rng.standard_normal, out=z[:n])
+        pending = deque()  # (fill, buffer), oldest first: at most two
+
+        def draw_ahead(buffer):
+            # The next piece: to the chunk's middle or its end, whichever
+            # comes first, and at most half a chunk.
+            nonlocal drawn
+            if drawn < n:
+                stop = min(drawn + half, (drawn // _CHUNK + 1) * _CHUNK, n)
+                after = pending[-1][0] if pending else None
+                pending.append((draw.submit(fill, after, buffer[:stop - drawn]), buffer))
+                drawn = stop
+
+        for buffer in np.empty((2, half, 6)):
+            draw_ahead(buffer)
         for start in range(0, n, _CHUNK):
-            params = _params_from_normals(cfg, p_s, filled.result())
-            if start + _CHUNK < n:
-                filled = draw.submit(rng.standard_normal, out=z[:n - start - _CHUNK])
-            yield params
+            terms = tuple(np.empty(min(_CHUNK, n - start)) for _ in range(3))
+            for lo in range(0, terms[0].size, half):
+                filled, buffer = pending.popleft()
+                z = filled.result()
+                _params_from_normals(cfg, p_s, z, tuple(t[lo:lo + len(z)] for t in terms))
+                draw_ahead(buffer)
+            yield terms
 
 
-def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray):
-    """(g_d, beta, mu) of one block z of standard normals, squared in place.
-    Columns (0, 1), (2, 3), (4, 5) give h_r, h_d, h_e: each |h|^2 is
-    var/2*(x*x + y*y), and g_d = x*x + y*y, which each curve scales by
-    var_hd/2. All three are fresh, so that z can be refilled meanwhile."""
+def _params_from_normals(cfg: EnsembleConfig, p_s: float, z: np.ndarray, out):
+    """Fills out = (g_d, beta, mu), each of len(z), from one piece z of
+    standard normals, squared in place. Columns (0, 1), (2, 3), (4, 5) give
+    h_r, h_d, h_e: each |h|^2 is var/2*(x*x + y*y), and g_d = x*x + y*y,
+    which each curve scales by var_hd/2. Nothing is kept of z, so that it can
+    be refilled meanwhile."""
+    g_d, beta, mu = out
     np.square(z, out=z)
-    g_r, g_d, g_e = (np.add(z[:, k], z[:, k + 1]) for k in (0, 2, 4))
+    for k, term in zip((0, 2, 4), (mu, g_d, beta)):
+        np.add(z[:, k], z[:, k + 1], out=term)
     with np.errstate(over="ignore"):  # overflowed lanes are rejected below
-        beta = np.multiply(g_e, cfg.var_he / 2.0, out=g_e)
-        mu = np.multiply(g_r, cfg.var_hr / 2.0, out=g_r)
+        np.multiply(beta, cfg.var_he / 2.0, out=beta)
+        np.multiply(mu, cfg.var_hr / 2.0, out=mu)
         np.multiply(mu, p_s, out=mu)
     np.add(mu, 1.0, out=mu)
-    return (g_d, _finite(beta, "beta = |h_e|^2", "var_he", cfg.var_he),
-            _finite(mu, "mu = 1 + p_s*|h_r|^2", "var_hr", cfg.var_hr))
+    _finite(beta, "beta = |h_e|^2", "var_he", cfg.var_he)
+    _finite(mu, "mu = 1 + p_s*|h_r|^2", "var_hr", cfg.var_hr)
 
 
 def _finite(values, name, field, var):
@@ -192,6 +227,27 @@ def _moments(row):
     total = float(np.add.reduce(row))
     dev = np.subtract(row, total / max(n, 1))
     return n, total, float(np.add.reduce(np.square(dev, out=dev)))
+
+
+# The moments at a budget below _TINY are those of its values times
+# _TINY_SCALE, an exact power of two: values of the order of such a budget,
+# and their deviations, can square below the normal range (1e-170 squared is
+# 1e-340), which left the standard errors zero. No value exceeds
+# max(p_r, 512), a capacity being half the log2 of a finite ratio, so a
+# scaled square stays below 2**918. Budgets from 2**-960 up keep squares of
+# their own order normal. At 0 and from _TINY up the scale is 1 and nothing
+# is multiplied, so those moments keep their bits.
+_TINY, _TINY_SCALE = 2.0**-400, 2.0**450
+
+
+def _scale(p_r):
+    """The power of two by which the values at budget p_r are scaled."""
+    return _TINY_SCALE if 0.0 < p_r < _TINY else 1.0
+
+
+def _scaled_moments(row, scale):
+    """_moments of row*scale, a pass of its own only where scale is not 1."""
+    return _moments(row if scale == 1.0 else row * scale)
 
 
 def _merge(a, b):
@@ -216,7 +272,8 @@ def _merge(a, b):
 def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     """Moments of (capacity, consumed) over one chunk at every budget.
 
-    Returns (count, sums, M2), sums and M2 of shape (len(grid), 2). Lanes
+    Returns (count, sums, M2), sums and M2 of shape (len(grid), 2), of the
+    values at each budget times its _scale (1 but for tiny budgets). Lanes
     the kernel does not evaluate (`af_active`, `df_active`: alpha <= beta,
     and for AF mu == 1) are (0, 0) at every budget and are left out first.
     The others are sorted by their threshold s, past which the kernel
@@ -252,8 +309,14 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     out = []  # per budget, the moments of capacity and of consumed power
     settled_capacity = settled_consumed = (0, 0.0, 0.0)
     done = 0
+    scale = _scale(grid[0])  # of the settled groups' moments
     for p_r, j in zip(grid, below):
         j = int(j)
+        if _scale(p_r) != scale:  # entering or leaving the tiny budgets
+            ratio, scale = _scale(p_r) / scale, _scale(p_r)
+            settled_capacity, settled_consumed = (
+                (count, total * ratio, m2 * ratio * ratio)
+                for count, total, m2 in (settled_capacity, settled_consumed))
         capacity, consumed = kernel(alpha[done:], beta[done:], mu[done:], p_r, lanes=tail)
         count = 0
         if j > done:
@@ -262,13 +325,14 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
         # The settling prefix joins the settled groups; the rest is counted
         # at this budget only. Each lane is counted once per budget.
         if count:
-            settled_capacity = _merge(settled_capacity, _moments(capacity[:count]))
+            settled_capacity = _merge(settled_capacity,
+                                      _scaled_moments(capacity[:count], scale))
             settled_consumed = _merge(settled_consumed,
-                                      _moments(threshold[done:done + count]))
-        out.append(_merge(settled_capacity, _moments(capacity[count:])))
-        rest = (alpha.size - j, (alpha.size - j) * p_r, 0.0)
+                                      _scaled_moments(threshold[done:done + count], scale))
+        out.append(_merge(settled_capacity, _scaled_moments(capacity[count:], scale)))
+        rest = (alpha.size - j, (alpha.size - j) * p_r * scale, 0.0)
         if j - done > count:
-            rest = _merge(_moments(consumed[count:j - done]), rest)
+            rest = _merge(_scaled_moments(consumed[count:j - done], scale), rest)
         out.append(_merge(settled_consumed, rest))
         del capacity, consumed  # freed before the next call
         if count:
@@ -304,10 +368,11 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
                 for strategy in cfg.strategies:
                     chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
                     totals[k, strategy] = _merge(totals[k, strategy], chunk)
+    scales = np.array([[_scale(p_r)] for p_r in cfg.p_r_grid])
     records: list[SweepRecord] = []
     for (k, strategy), (n, sums, m2) in totals.items():
-        means = sums / n
-        stderrs = np.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else np.zeros_like(m2)
+        means = sums / n / scales
+        stderrs = np.sqrt(m2 / (n - 1)) / math.sqrt(n) / scales if n > 1 else np.zeros_like(m2)
         for p_r, (mean_c, mean_p), (se_c, se_p) in zip(cfg.p_r_grid, means, stderrs):
             records.append(
                 SweepRecord(

@@ -186,9 +186,9 @@ class TestSweep:
     ])
     def test_rows_equal_the_scalar_functions(self, capsys, monkeypatch, flags):
         calls = []
-        for strategy, kernel in list(cli._KERNELS.items()):
-            monkeypatch.setitem(cli._KERNELS, strategy,
-                                lambda *a, _k=kernel, **k: calls.append(a) or _k(*a, **k))
+        for strategy, (solver, kernel) in list(cli._STRATEGIES.items()):
+            monkeypatch.setitem(cli._STRATEGIES, strategy, (
+                solver, lambda *a, _k=kernel, **k: calls.append(a) or _k(*a, **k)))
         code, out, _ = run(capsys, "sweep", *flags)
         assert code == 0
         assert len(calls) == 2  # one kernel call per strategy
@@ -198,7 +198,7 @@ class TestSweep:
         assert len(rows) == 2 * calls[0][3].size
         for strategy, p_r, *values in rows:
             pb = cli.PowerBudget(params.mu - 1.0, float(p_r))
-            res = cli._SOLVERS[cli.Strategy(strategy)](params, pb)
+            res = cli._STRATEGIES[cli.Strategy(strategy)][0](params, pb)
             assert values == [repr(v) for v in (res.capacity, res.x_hat, res.consumed_power)]
 
     @pytest.mark.parametrize("flags, message", [

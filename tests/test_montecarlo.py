@@ -148,13 +148,15 @@ class TestSweepInputs:
                                        rtol=1e-15, atol=0.0)
 
     def test_normals_to_terms_without_complex_temporaries(self):
-        # The normals are squared in place and each output is built in
-        # place, so the step holds no temporary beyond its outputs.
-        m = 1 << 16
+        # The normals of one piece (half a chunk) are squared in place and
+        # each output is built in place, so the step holds no temporary
+        # beyond its outputs.
+        m = montecarlo._CHUNK // 2
         z = np.random.default_rng(32).standard_normal((m, 6))
         tracemalloc.start()
         try:
-            kept = montecarlo._params_from_normals(EnsembleConfig(**SMALL), 10.0, z)
+            kept = tuple(np.empty(m) for _ in range(3))
+            montecarlo._params_from_normals(EnsembleConfig(**SMALL), 10.0, z, kept)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,6 +247,52 @@ class TestSweep:
         records = ergodic_sweep(cfg)
         assert {r.strategy for r in records} == {Strategy.DF}
         assert len(records) == len(cfg.p_r_grid)
+
+
+class TestTinyBudgets:
+    """Budgets so small that the squares of their values underflow: the
+    moments are taken of values scaled by an exact power of two."""
+
+    @pytest.mark.parametrize("p", [1e-170, 1e-200])
+    def test_standard_errors_scale_with_the_budget(self, p):
+        # Every value is linear in the budget this far below 1, so each
+        # record divided by its budget is that of 1e-100, where nothing
+        # underflows. The standard errors were 0.0 before.
+        def per_budget(q):
+            cfg = EnsembleConfig(var_hd=1.0, p_r_grid=(q,), n_samples=1000, seed=42)
+            return _as_array(ergodic_sweep(cfg)) / q
+
+        got, want = per_budget(p), per_budget(1e-100)
+        assert got[:, [1, 3]].all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_other_budgets_keep_their_bits(self):
+        base = dict(var_hd=2.0, n_samples=3001, seed=30)
+        mixed = ergodic_sweep(EnsembleConfig(p_r_grid=(0.0, 1e-200, 1e-170, 0.5, 8.0), **base))
+        alone = ergodic_sweep(EnsembleConfig(p_r_grid=(0.0, 0.5, 8.0), **base))
+        assert [r for r in mixed if r.p_r not in (1e-200, 1e-170)] == alone
+
+    @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
+    def test_lanes_settled_at_tiny_budgets(self, strategy):
+        # DF lanes with mu - 1 a few ulps and a huge alpha balance at about
+        # 1e-176 and settle there, in the scaled moments; their capacity,
+        # the first cut, is of order 1e-16, far above the budget. At 1e-100
+        # the settled groups are carried back to scale 1.
+        rng = np.random.default_rng(31)
+        alpha, beta, mu = rng.exponential(2.0, 50), rng.exponential(1.0, 50), \
+            1.0 + rng.exponential(10.0, 50)
+        alpha[:8] = 1e160 * (1.0 + rng.uniform(0.0, 1.0, 8))
+        beta[:8] = rng.uniform(0.0, 1.0, 8)
+        mu[:8] = 1.0 + 2.0**-52 * rng.integers(1, 9, 8)
+        assert np.all(df_balancing_gain(alpha[:8], beta[:8], mu[:8]) < 1e-170)
+        grid = np.array([1e-200, 1e-180, 1e-170, 1e-160, 1e-100, 0.5, 4.0])
+        n, sums, m2 = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        for i, p_r in enumerate(grid):
+            values = np.array(montecarlo._KERNELS[strategy](alpha, beta, mu, p_r))
+            values *= montecarlo._scale(p_r)
+            np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
+            assert m2[i].all()
 
 
 def _block_reference(cfg):
@@ -341,14 +389,15 @@ class TestSharedDraw:
 
     def test_each_chunk_drawn_once(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        # Each piece of half a chunk is drawn and built once for every curve.
         draws = []
         params = montecarlo._params_from_normals
-        monkeypatch.setattr(montecarlo, "_params_from_normals",
-                            lambda cfg, p_s, z: draws.append(len(z)) or params(cfg, p_s, z))
+        monkeypatch.setattr(montecarlo, "_params_from_normals", lambda cfg, p_s, z, out: (
+            draws.append(len(z)) or params(cfg, p_s, z, out)))
         cfgs = [EnsembleConfig(var_hd=v, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
                 for v in SHARED_VARS]
         ergodic_sweep(*cfgs)
-        assert draws == [SMALL_CHUNK, SMALL_CHUNK, 3]
+        assert draws == [SMALL_CHUNK // 2] * 4 + [3]
 
     def test_same_variance_twice(self):
         cfg = EnsembleConfig(**SMALL)
@@ -373,11 +422,14 @@ class TestSharedDraw:
         with pytest.raises(ValueError, match="only in var_hd"):
             ergodic_sweep(base, base, other)
 
-    def test_chunk_keeps_no_view_of_the_normals(self):
-        # So that the (m, 6) block is freed while the curves are evaluated.
-        z = np.random.default_rng(27).standard_normal((SMALL_CHUNK, 6))
-        for kept in montecarlo._params_from_normals(EnsembleConfig(**SMALL), 10.0, z):
-            assert not np.shares_memory(kept, z)
+    def test_chunk_keeps_no_view_of_the_normals(self, monkeypatch):
+        # So that the piece buffers are refilled while the curves are
+        # evaluated: every yielded term owns its memory.
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfg = EnsembleConfig(**{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
+        with closing(montecarlo._chunks(cfg)) as chunks:
+            for chunk in chunks:
+                assert all(term.base is None for term in chunk)
 
     def test_no_config_rejected(self):
         with pytest.raises(ValueError):
@@ -536,6 +588,97 @@ class TestDrawThread:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert got == want
+
+
+def _serial_chunks(cfg):
+    """The sweep's chunks drawn whole, one after another, into one (m, 6)
+    buffer on the calling thread, with each term built as a fresh array."""
+    rng = np.random.default_rng(cfg.seed)
+    p_s = db_to_linear(cfg.p_s_dbw)
+    n = cfg.n_samples
+    z = np.empty((min(montecarlo._CHUNK, n), 6))
+    for start in range(0, n, montecarlo._CHUNK):
+        rows = rng.standard_normal(out=z[:n - start])
+        np.square(rows, out=rows)
+        g_r, g_d, g_e = (np.add(rows[:, k], rows[:, k + 1]) for k in (0, 2, 4))
+        g_e *= cfg.var_he / 2.0
+        g_r *= cfg.var_hr / 2.0
+        g_r *= p_s
+        g_r += 1.0
+        yield g_d, g_e, g_r
+
+
+class TestPieces:
+    """The draw fills half-chunk pieces into two buffers, one piece ahead of
+    the piece the caller builds."""
+
+    HALF = SMALL_CHUNK // 2
+
+    @pytest.mark.parametrize("chunk, n", [
+        *((SMALL_CHUNK, n) for n in (1, HALF - 1, HALF, HALF + 1, SMALL_CHUNK - 1,
+                                     SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3)),
+        (7, 1), (7, 3), (7, 4), (7, 8), (7, 11), (7, 40), (1, 5)])
+    def test_records_equal_a_one_buffer_serial_draw(self, monkeypatch, chunk, n):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        cfgs = [EnsembleConfig(var_hr=2.0, var_hd=v, var_he=0.7, p_r_grid=STREAM_GRID,
+                               n_samples=n, seed=28) for v in (1.0, 8.0)]
+        got = ergodic_sweep(*cfgs)
+        monkeypatch.setattr(montecarlo, "_chunks", _serial_chunks)
+        assert got == ergodic_sweep(*cfgs)
+
+    def test_next_fill_submitted_before_a_piece_is_built(self, monkeypatch):
+        # Each build waits until the next piece's fill has started: had the
+        # fill been submitted only after the build, it would never start.
+        # Builds are slowed, so a third buffer's fill would run early.
+        monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+        cfg = EnsembleConfig(**{**SMALL, "n_samples": 6 * SMALL_CHUNK + 5})
+        want = ergodic_sweep(cfg)
+        pieces = 13
+        default_rng = np.random.default_rng
+        fills, built, early = [], [], []
+
+        class RecordingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *, out):
+                if len(built) < len(fills) - 1:  # a third piece outstanding
+                    early.append(len(fills))
+                fills.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        params = montecarlo._params_from_normals
+
+        def build(cfg, p_s, z, out):
+            k = len(built)
+            deadline = time.monotonic() + 10
+            while len(fills) < min(k + 2, pieces) and time.monotonic() < deadline:
+                time.sleep(1e-4)
+            assert len(fills) >= min(k + 2, pieces), f"piece {k + 1} not drawn during build {k}"
+            time.sleep(2e-3)
+            params(cfg, p_s, z, out)
+            built.append(len(z))
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+        monkeypatch.setattr(montecarlo, "_params_from_normals", build)
+        assert ergodic_sweep(cfg) == want
+        assert fills == built == [self.HALF] * (pieces - 1) + [5]
+        assert not early
+
+    def test_memory_of_a_one_buffer_sweep(self):
+        cfg = EnsembleConfig(p_r_grid=(0.0, 1.0, 4.0), n_samples=2**17 + 5, seed=29)
+
+        def peak(chunks):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "_chunks", chunks)
+                tracemalloc.start()
+                try:
+                    ergodic_sweep(cfg)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(montecarlo._chunks) <= peak(_serial_chunks) + 2**16
 
 
 class _SpyKernel:

@@ -26,9 +26,10 @@ that does not depend on it, built once per chunk, curve and strategy, as
 their `lanes=` argument. Per budget it reduces only the capacities of the
 samples not yet settled: a sample consumes the budget itself while its AF
 saturation budget or DF balancing gain is at or above it, and that
-threshold, which the sweep holds sorted, once it has settled. At budgets
-below 2**-400 the moments are taken of values scaled by an exact power of
-two, so that their squares do not underflow.
+threshold, which the sweep holds sorted, once it has settled. Each group
+of values is carried as (count, sum, root), root the square root of its
+sum of squared deviations, so that merged groups keep full relative
+precision at any scale.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class EnsembleConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        # The consumed power's M2 is at most n_samples*p**2/4 and its sum
-        # n_samples*p; compared so that no product can overflow.
+        # The consumed power's sum, at most n_samples*p, is finite where
+        # n_samples*p**2 is; compared so that no product can overflow.
         square = grid[-1] * grid[-1]
         if square and not self.n_samples <= sys.float_info.max / square:
             raise ValueError(f"p_r_grid reaches {grid[-1]!r}: n_samples*p_r**2 must be finite "
@@ -221,59 +222,55 @@ def _finite(values, name, field, var):
 
 
 def _moments(row):
-    """(count, sum, M2) of one array as Python numbers: pairwise sum,
-    two-pass M2."""
+    """(count, sum, root) of one array as Python numbers: a pairwise sum,
+    and root = sqrt(sum(dev**2)) of the two-pass deviations dev from the
+    mean. Where the group's mean is positive and below 2**-400 (down to
+    subnormal) or above 2**400, dev is first multiplied by the exact power
+    of two 2**600 or 2**-600, and the root divided by it after, so that no
+    square of a deviation that matters underflows or overflows: the values
+    are nonnegative, so none exceeds count*mean. Other groups take no extra
+    pass."""
     n = row.size
     total = float(np.add.reduce(row))
     dev = np.subtract(row, total / max(n, 1))
-    return n, total, float(np.add.reduce(np.square(dev, out=dev)))
-
-
-# The moments at a budget below _TINY are those of its values times
-# _TINY_SCALE, an exact power of two: values of the order of such a budget,
-# and their deviations, can square below the normal range (1e-170 squared is
-# 1e-340), which left the standard errors zero. No value exceeds
-# max(p_r, 512), a capacity being half the log2 of a finite ratio, so a
-# scaled square stays below 2**918. Budgets from 2**-960 up keep squares of
-# their own order normal. At 0 and from _TINY up the scale is 1 and nothing
-# is multiplied, so those moments keep their bits.
-_TINY, _TINY_SCALE = 2.0**-400, 2.0**450
-
-
-def _scale(p_r):
-    """The power of two by which the values at budget p_r are scaled."""
-    return _TINY_SCALE if 0.0 < p_r < _TINY else 1.0
-
-
-def _scaled_moments(row, scale):
-    """_moments of row*scale, a pass of its own only where scale is not 1."""
-    return _moments(row if scale == 1.0 else row * scale)
+    scale = (2.0**600 if 0.0 < total < n * 2.0**-400 else
+             2.0**-600 if total > n * 2.0**400 else 1.0)
+    if scale != 1.0:
+        dev *= scale
+    return n, total, math.sqrt(float(np.add.reduce(np.square(dev, out=dev)))) / scale
 
 
 def _merge(a, b):
     """Moments of the union of two disjoint groups, either possibly empty
-    (Chan, Golub & LeVeque 1983).
+    (Chan, Golub & LeVeque 1983), with M2 carried as its root: the roots
+    and the mean-shift term are combined by math.hypot, which neither
+    underflows nor overflows where their squares would (Blue 1978).
 
     Sums are added rather than means averaged: the values are nonnegative,
-    so the sums carry no cancellation and every M2 term is nonnegative. A
-    sweep's sum is pairwise within each reduced group; the consumed power
-    of the lanes at or above a budget, all equal to it, is one product n*p,
-    rounded once, with M2 zero. The groups are added sequentially: the
-    settling groups of the budgets so far, at most three more per budget,
-    and one chunk per _CHUNK samples, so the relative error is at most
-    about (log2(_CHUNK) + 2*budgets + 3 + chunks) * 2**-53.
+    so the sums carry no cancellation. A sweep's sum is pairwise within each
+    reduced group; the consumed power of the lanes at or above a budget, all
+    equal to it, is one product n*p, rounded once, with root zero. The
+    groups are added sequentially: the settling groups of the budgets so
+    far, at most three more per budget, and one chunk per _CHUNK samples,
+    so k = log2(_CHUNK) + 2*budgets + 3 + chunks (for m groups of at most N
+    values, log2(N) + m + 3). The sum is within about k * 2**-53 relative,
+    and the root within about
+    k * (2**-53 * sqrt(sum(x**2)) + 2**-1074 * sqrt(count))
+    of the root of the exact M2. The values' 2-norm bounds both the root
+    and sqrt(count)*mean, and a rounded mean shifts every deviation; where
+    a mean is subnormal, that shift is a multiple of the spacing 2**-1074.
     """
-    (na, sa, qa), (nb, sb, qb) = a, b
+    (na, sa, ra), (nb, sb, rb) = a, b
     n = na + nb
     delta = sb / max(nb, 1) - sa / max(na, 1)
-    return n, sa + sb, qa + qb + delta * delta * (na / max(n, 1) * nb)
+    return n, sa + sb, math.hypot(ra, rb, delta * math.sqrt(na / max(n, 1) * nb))
 
 
 def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     """Moments of (capacity, consumed) over one chunk at every budget.
 
-    Returns (count, sums, M2), sums and M2 of shape (len(grid), 2), of the
-    values at each budget times its _scale (1 but for tiny budgets). Lanes
+    Returns the moments (count, sum, root) of capacity, then of consumed
+    power, at each budget in turn: 2*len(grid) of them. Lanes
     the kernel does not evaluate (`af_active`, `df_active`: alpha <= beta,
     and for AF mu == 1) are (0, 0) at every budget and are left out first.
     The others are sorted by their threshold s, past which the kernel
@@ -309,14 +306,8 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     out = []  # per budget, the moments of capacity and of consumed power
     settled_capacity = settled_consumed = (0, 0.0, 0.0)
     done = 0
-    scale = _scale(grid[0])  # of the settled groups' moments
     for p_r, j in zip(grid, below):
         j = int(j)
-        if _scale(p_r) != scale:  # entering or leaving the tiny budgets
-            ratio, scale = _scale(p_r) / scale, _scale(p_r)
-            settled_capacity, settled_consumed = (
-                (count, total * ratio, m2 * ratio * ratio)
-                for count, total, m2 in (settled_capacity, settled_consumed))
         capacity, consumed = kernel(alpha[done:], beta[done:], mu[done:], p_r, lanes=tail)
         count = 0
         if j > done:
@@ -325,21 +316,18 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
         # The settling prefix joins the settled groups; the rest is counted
         # at this budget only. Each lane is counted once per budget.
         if count:
-            settled_capacity = _merge(settled_capacity,
-                                      _scaled_moments(capacity[:count], scale))
-            settled_consumed = _merge(settled_consumed,
-                                      _scaled_moments(threshold[done:done + count], scale))
-        out.append(_merge(settled_capacity, _scaled_moments(capacity[count:], scale)))
-        rest = (alpha.size - j, (alpha.size - j) * p_r * scale, 0.0)
+            settled_capacity = _merge(settled_capacity, _moments(capacity[:count]))
+            settled_consumed = _merge(settled_consumed, _moments(threshold[done:done + count]))
+        out.append(_merge(settled_capacity, _moments(capacity[count:])))
+        rest = (alpha.size - j, (alpha.size - j) * p_r, 0.0)
         if j - done > count:
-            rest = _merge(_scaled_moments(consumed[count:j - done], scale), rest)
+            rest = _merge(_moments(consumed[count:j - done]), rest)
         out.append(_merge(settled_consumed, rest))
         del capacity, consumed  # freed before the next call
         if count:
             done += count
             tail = tuple(None if term is None else term[done:] for term in terms)
-    _, sums, m2 = (np.reshape(column, (len(grid), 2)) for column in zip(*out))
-    return _merge((size - alpha.size, 0.0, 0.0), (alpha.size, sums, m2))
+    return [_merge((size - alpha.size, 0.0, 0.0), group) for group in out]
 
 
 def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
@@ -358,7 +346,8 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
     cfg = cfgs[0]
     if any(replace(other, var_hd=cfg.var_hd) != cfg for other in cfgs):
         raise ValueError("configs swept together may differ only in var_hd")
-    totals = {(k, s): (0, 0.0, 0.0) for k in range(len(cfgs)) for s in cfg.strategies}
+    empty = [(0, 0.0, 0.0)] * (2 * len(cfg.p_r_grid))
+    totals = {(k, s): empty for k in range(len(cfgs)) for s in cfg.strategies}
     with closing(_chunks(cfg)) as chunks:
         for g_d, beta, mu in chunks:
             for k, curve in enumerate(cfgs):
@@ -367,22 +356,22 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
                                     "var_hd", curve.var_hd)
                 for strategy in cfg.strategies:
                     chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
-                    totals[k, strategy] = _merge(totals[k, strategy], chunk)
-    scales = np.array([[_scale(p_r)] for p_r in cfg.p_r_grid])
+                    totals[k, strategy] = list(map(_merge, totals[k, strategy], chunk))
     records: list[SweepRecord] = []
-    for (k, strategy), (n, sums, m2) in totals.items():
-        means = sums / n / scales
-        stderrs = np.sqrt(m2 / (n - 1)) / math.sqrt(n) / scales if n > 1 else np.zeros_like(m2)
-        for p_r, (mean_c, mean_p), (se_c, se_p) in zip(cfg.p_r_grid, means, stderrs):
+    for (k, strategy), groups in totals.items():
+        estimates = [(total / n, root / math.sqrt(n - 1) / math.sqrt(n) if n > 1 else 0.0)
+                     for n, total, root in groups]
+        for p_r, (mean_c, se_c), (mean_p, se_p) in zip(cfg.p_r_grid, estimates[::2],
+                                                        estimates[1::2]):
             records.append(
                 SweepRecord(
                     strategy=strategy,
                     var_hd=cfgs[k].var_hd,
                     p_r=p_r,
-                    mean_capacity=float(mean_c),
-                    stderr_capacity=float(se_c),
-                    mean_consumed_power=float(mean_p),
-                    stderr_consumed_power=float(se_p),
+                    mean_capacity=mean_c,
+                    stderr_capacity=se_c,
+                    mean_consumed_power=mean_p,
+                    stderr_consumed_power=se_p,
                     n_samples=cfg.n_samples,
                     seed=cfg.seed,
                 )

@@ -291,6 +291,18 @@ class TestMonteCarlo:
         (line,) = done.stderr.splitlines()
         assert line.startswith(f"error: {bad} ")
 
+    def test_values_far_below_the_budget_keep_their_standard_errors(self):
+        # The AF consumed power is about 1e-300 at every budget here; its
+        # standard error printed 0.0 when the moments' scale followed the
+        # budget. In a child, so that a numpy RuntimeWarning would show.
+        done = run_in_child("montecarlo", "--var-hd", "1e300", "--var-he", "1e300",
+                            "--pr-start", "1e-200", "--pr-stop", "1", "--pr-points", "3",
+                            "--n-samples", "1000")
+        assert done.returncode == 0 and done.stderr == ""
+        rows = [line.split(",") for line in done.stdout.splitlines()[1:]]
+        assert len(rows) == 6
+        assert all(float(row[4]) > 0.0 and float(row[6]) > 0.0 for row in rows)
+
     def test_huge_sample_count_rejected_before_drawing(self):
         # 10**14 samples would run for months without a line of output.
         done = run_in_child("montecarlo", "--var-hd", "1", "--pr-points", "1",

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import sys
@@ -7,9 +8,12 @@ import tracemalloc
 import warnings
 from contextlib import closing
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrelay import montecarlo
 from secrelay.af import af_saturation_budget, af_secrecy_capacity
@@ -250,21 +254,27 @@ class TestSweep:
 
 
 class TestTinyBudgets:
-    """Budgets so small that the squares of their values underflow: the
-    moments are taken of values scaled by an exact power of two."""
+    """Budgets so small that the squares of their values underflow: each
+    group whose mean is that small is reduced with its deviations scaled by
+    an exact power of two, whatever the budget."""
 
-    @pytest.mark.parametrize("p", [1e-170, 1e-200])
+    @pytest.mark.parametrize("p", [1e-170, 1e-200, 1e-300, 1e-315])
     def test_standard_errors_scale_with_the_budget(self, p):
         # Every value is linear in the budget this far below 1, so each
         # record divided by its budget is that of 1e-100, where nothing
-        # underflows. The standard errors were 0.0 before.
+        # underflows. The standard errors were 0.0 before. At 1e-315
+        # (about 2**-1046) every value is subnormal and carries about
+        # 1074 - 1046 = 28 bits, so each is within 2**-27 (7.5e-9) relative
+        # of the 1e-100 value times 1e-215; means and standard errors, sums
+        # and roots of such values, stay within a small multiple of that.
         def per_budget(q):
             cfg = EnsembleConfig(var_hd=1.0, p_r_grid=(q,), n_samples=1000, seed=42)
             return _as_array(ergodic_sweep(cfg)) / q
 
         got, want = per_budget(p), per_budget(1e-100)
         assert got[:, [1, 3]].all()
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        rtol = 1e-12 if p >= sys.float_info.min else 1e-6
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
     def test_other_budgets_keep_their_bits(self):
         base = dict(var_hd=2.0, n_samples=3001, seed=30)
@@ -272,12 +282,30 @@ class TestTinyBudgets:
         alone = ergodic_sweep(EnsembleConfig(p_r_grid=(0.0, 0.5, 8.0), **base))
         assert [r for r in mixed if r.p_r not in (1e-200, 1e-170)] == alone
 
+    def test_values_far_below_their_budget(self, monkeypatch):
+        # With var_hd = var_he = 1e300 the AF saturation budgets are near
+        # 1e-300, so every budget here consumes about 1e-300: the standard
+        # error of that consumed power was 0.0 when the scale followed the
+        # budget. The reference is numpy's on the values times 2**600.
+        cfg = EnsembleConfig(var_hd=1e300, var_he=1e300, p_r_grid=(1e-200, 1e-100, 1.0),
+                             n_samples=1000)
+        alpha, beta, mu = _sweep_lanes(monkeypatch, cfg)
+        records = [r for r in ergodic_sweep(cfg) if r.strategy is Strategy.AF]
+        scale = 2.0**600
+        for record in records:
+            consumed = af_batch(alpha, beta, mu, record.p_r)[1] * scale
+            want = consumed.std(ddof=1) / math.sqrt(consumed.size) / scale
+            assert 0.0 < record.mean_consumed_power < 1e-290
+            assert record.stderr_consumed_power > 0.0
+            assert math.isclose(record.stderr_consumed_power, want, rel_tol=1e-12)
+
     @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
     def test_lanes_settled_at_tiny_budgets(self, strategy):
         # DF lanes with mu - 1 a few ulps and a huge alpha balance at about
-        # 1e-176 and settle there, in the scaled moments; their capacity,
-        # the first cut, is of order 1e-16, far above the budget. At 1e-100
-        # the settled groups are carried back to scale 1.
+        # 1e-176 and settle there; their capacity, the first cut, is of
+        # order 1e-16, far above the budget, while the unsettled lanes'
+        # values are of the order of the budget. numpy's reference squares
+        # the tiny budgets' values times 2**450, which keeps them normal.
         rng = np.random.default_rng(31)
         alpha, beta, mu = rng.exponential(2.0, 50), rng.exponential(1.0, 50), \
             1.0 + rng.exponential(10.0, 50)
@@ -286,13 +314,49 @@ class TestTinyBudgets:
         mu[:8] = 1.0 + 2.0**-52 * rng.integers(1, 9, 8)
         assert np.all(df_balancing_gain(alpha[:8], beta[:8], mu[:8]) < 1e-170)
         grid = np.array([1e-200, 1e-180, 1e-170, 1e-160, 1e-100, 0.5, 4.0])
-        n, sums, m2 = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        n, sums, roots = _chunk_moments(strategy, alpha, beta, mu, grid)
+        assert (n == alpha.size).all()
         for i, p_r in enumerate(grid):
             values = np.array(montecarlo._KERNELS[strategy](alpha, beta, mu, p_r))
-            values *= montecarlo._scale(p_r)
+            scale = 2.0**450 if p_r < 2.0**-400 else 1.0
             np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
-            assert m2[i].all()
+            np.testing.assert_allclose(roots[i] * scale, _roots(values * scale),
+                                       rtol=1e-12, atol=0.0)
+            assert roots[i].all()
+
+
+def _chunk_moments(strategy, alpha, beta, mu, grid):
+    """montecarlo._chunk_moments as (counts, sums, roots), each of shape
+    (len(grid), 2): capacity and consumed power at each budget."""
+    moments = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+    return (np.reshape(column, (len(grid), 2)) for column in zip(*moments))
+
+
+def _roots(values):
+    """Root of each row's M2, sqrt(var*n), by numpy."""
+    return np.sqrt(values.var(axis=1) * values.shape[1])
+
+
+class TestMoments:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2**52), max_size=40), st.integers(-1074, 945),
+           st.lists(st.integers(0, 40), max_size=4))
+    def test_merged_parts_give_the_moments_of_the_whole(self, mantissas, exponent, cuts):
+        # The values m * 2**exponent are exact for integers m < 2**53, from
+        # subnormal (exponent -1074) to about 1e300. Rescaled exactly by
+        # 2**-exponent they are the integers m, whose count, sum and M2
+        # Python's integers give exactly. Folding _merge over the parts'
+        # _moments, empty parts included, keeps within _merge's bound.
+        x = np.ldexp(np.array(mantissas, dtype=float), exponent)
+        parts = np.split(x, sorted(min(c, x.size) for c in cuts))
+        n, total, root = functools.reduce(montecarlo._merge, map(montecarlo._moments, parts))
+        s, q = sum(mantissas), sum(m * m for m in mantissas)
+        k = math.log2(max(max(part.size for part in parts), 2)) + len(parts) + 3
+        assert n == len(mantissas)
+        assert abs(math.ldexp(total, -exponent) - s) <= k * 2.0**-53 * s
+        want = math.sqrt(Fraction(n * q - s * s, max(n, 1)))
+        error = abs(math.ldexp(root, -exponent) - want)
+        assert error <= k * (2.0**-53 * math.sqrt(q) + 2.0**(-1074 - exponent) * math.sqrt(n))
 
 
 def _block_reference(cfg):
@@ -736,7 +800,7 @@ class TestChunkEvaluation:
         grid = _edge_grid(alpha, beta, mu)
         spy = _SpyKernel(montecarlo._KERNELS[strategy])
         monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
-        n, sums, m2 = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        n, sums, roots = _chunk_moments(strategy, alpha, beta, mu, grid)
         assert [c[3] for c in spy.calls] == list(grid)
         lanes = spy.calls[0][:3]
         settled = np.empty((2, 0))
@@ -746,11 +810,11 @@ class TestChunkEvaluation:
             if k + 1 < len(spy.calls):
                 drop = a.size - spy.calls[k + 1][0].size
                 settled = np.concatenate([settled, out[:, :drop]], axis=1)
-        assert n == alpha.size
+        assert (n == alpha.size).all()
         for i, p_r in enumerate(grid):
             values = np.array(spy.kernel(alpha, beta, mu, p_r))
             np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(roots[i], _roots(values), rtol=1e-12, atol=0.0)
 
     def test_lane_terms_built_once_per_chunk_curve_and_strategy(self, monkeypatch):
         # The sweep builds each lane set's terms once and the kernels take
@@ -798,7 +862,7 @@ class TestChunkEvaluation:
         # AF is (0, 0) at every budget where mu == 1. Those lanes are left
         # out with the alpha <= beta ones, so the lanes sorted after them
         # still settle: each call holds exactly the lanes whose saturation
-        # budget is at least the budget before. (The sums and M2 on these
+        # budget is at least the budget before. (The sums and roots on these
         # lanes are checked by test_per_lane_values_match_one_call.)
         alpha, beta, mu = _edge_lanes()
         grid = _edge_grid(alpha, beta, mu)
@@ -864,8 +928,9 @@ class TestChunkEvaluation:
         assert s[0] == s_first and s[0] < s[1] < p
         assert np.array_equal(df_batch(alpha, beta, mu, p)[1], [p, s[1]])
         grid = np.array([1.0, p, 2.0 * p])
-        n, sums, m2 = montecarlo._chunk_moments(Strategy.DF, alpha, beta, mu, grid)
+        n, sums, roots = _chunk_moments(Strategy.DF, alpha, beta, mu, grid)
+        assert (n == alpha.size).all()
         for i, p_r in enumerate(grid):
             values = np.array(df_batch(alpha, beta, mu, p_r))
             np.testing.assert_allclose(sums[i], values.sum(axis=1), rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(m2[i], values.var(axis=1) * n, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(roots[i], _roots(values), rtol=1e-12, atol=0.0)

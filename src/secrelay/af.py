@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DerivedParams, PowerBudget, Strategy, gain_domain
+from .channel import DerivedParams, PowerBudget, Strategy, gain_domain, secrecy_possible
 
 __all__ = [
     "SecrecyResult",
     "mutual_info_destination",
     "mutual_info_eavesdropper",
-    "af_active",
     "af_batch",
     "af_lane_terms",
     "af_saturation_budget",
@@ -103,17 +102,11 @@ def af_saturation_budget(alpha, beta, mu):
     return np.sqrt(mu) / np.sqrt(alpha) / np.sqrt(beta)
 
 
-def af_active(alpha, beta, mu):
-    """The lanes `af_batch` evaluates, alpha > beta and mu > 1; both its
-    outputs are zero on the others at every budget."""
-    return (alpha > beta) & (mu > 1.0)
-
-
 def af_lane_terms(alpha, beta, mu, saturation_budget=None):
     """The per-lane terms of `af_batch` that do not depend on the budget, as
     the tuple (saturation budget, alpha - beta, mu - 1, inactive) it takes
-    as `lanes=`. `inactive` masks the lanes outside `af_active`, and is None
-    when there are none.
+    as `lanes=`. `inactive` masks the lanes outside `secrecy_possible`, and
+    is None when there are none.
 
     `saturation_budget`, if given, must be `af_saturation_budget(alpha,
     beta, mu)`; a caller that already holds it passes it.
@@ -122,7 +115,7 @@ def af_lane_terms(alpha, beta, mu, saturation_budget=None):
         with np.errstate(divide="ignore"):
             saturation_budget = af_saturation_budget(alpha, beta, mu)
     return (saturation_budget, alpha - beta, mu - 1,
-            _inactive(af_active(alpha, beta, mu)))
+            _inactive(secrecy_possible(alpha, beta, mu)))
 
 
 def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,

@@ -21,6 +21,7 @@ __all__ = [
     "surrogate_channel",
     "gain_domain",
     "db_to_linear",
+    "secrecy_possible",
 ]
 
 
@@ -106,6 +107,13 @@ def derive_params(ch: ChannelRealization, pb: PowerBudget) -> DerivedParams:
         beta=_abs2(complex(ch.h_e)),
         mu=1.0 + pb.p_s * _abs2(complex(ch.h_r)),
     )
+
+
+def secrecy_possible(alpha, beta, mu):
+    """alpha > beta and mu > 1, lanewise over arrays or Python floats: where
+    the AF and DF secrecy capacities can be positive. Elsewhere both, and
+    the relay power each consumes, are zero at every budget."""
+    return (alpha > beta) & (mu > 1.0)
 
 
 def surrogate_channel(params: DerivedParams) -> ChannelRealization:

@@ -46,6 +46,9 @@ MAX_VERIFY_DRAWS = 1_000_000
 # Most samples one `montecarlo` run draws per curve: about half an hour at
 # the default 4 curves x 41 budgets, so a typo cannot start a months-long run.
 MAX_SAMPLES = 10**9
+# Most sample points (samples x curves x budgets per curve) one `montecarlo`
+# run evaluates: what MAX_SAMPLES allows at those defaults.
+MAX_SAMPLE_POINTS = MAX_SAMPLES * 4 * 41
 
 # Per strategy: its scalar solver (`compute`) and its batch kernel (`sweep`).
 _STRATEGIES = {
@@ -264,8 +267,6 @@ def _cmd_montecarlo(args) -> int:
         var_hd_list = [float(tok) for tok in str(settings["var_hd"]).split(",") if tok.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad var_hd list {settings['var_hd']!r}") from exc
-    if not var_hd_list:
-        raise _UsageError("var_hd list must not be empty")
     if not 1 <= settings["pr_points"] <= MAX_SWEEP_POINTS:
         raise _UsageError(f"pr_points must be between 1 and {MAX_SWEEP_POINTS}")
     if len(var_hd_list) * settings["pr_points"] > MAX_SWEEP_POINTS:
@@ -273,27 +274,27 @@ def _cmd_montecarlo(args) -> int:
                           f"exceed {MAX_SWEEP_POINTS} budget points per run")
     if settings["n_samples"] > MAX_SAMPLES:
         raise _UsageError(f"n_samples must be at most {MAX_SAMPLES}")
+    if settings["n_samples"] * len(var_hd_list) * settings["pr_points"] > MAX_SAMPLE_POINTS:
+        raise _UsageError(f"{settings['n_samples']} n_samples x {len(var_hd_list)} var_hd curves x "
+                          f"{settings['pr_points']} pr_points exceed {MAX_SAMPLE_POINTS}")
     for key in ("pr_start", "pr_stop"):
         # Checked before np.linspace, which warns on a span that overflows.
         if not (math.isfinite(settings[key]) and settings[key] >= 0):
             raise _UsageError(f"{key} must be finite and nonnegative, got {settings[key]!r}")
     grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
     strategies = _parse_strategies(str(settings["strategies"]))
-    cfgs = [
-        EnsembleConfig(
-            var_hr=settings["var_hr"],
-            var_hd=var_hd,
-            var_he=settings["var_he"],
-            p_s_dbw=settings["p_s_dbw"],
-            p_r_grid=grid,
-            n_samples=settings["n_samples"],
-            seed=settings["seed"],
-            strategies=strategies,
-        )
-        for var_hd in var_hd_list
-    ]
+    cfg = EnsembleConfig(
+        var_hr=settings["var_hr"],
+        var_hd=tuple(var_hd_list),
+        var_he=settings["var_he"],
+        p_s_dbw=settings["p_s_dbw"],
+        p_r_grid=grid,
+        n_samples=settings["n_samples"],
+        seed=settings["seed"],
+        strategies=strategies,
+    )
     rows = []
-    for rec in ergodic_sweep(*cfgs):
+    for rec in ergodic_sweep(cfg):
         if args.pr_axis == "db":
             p_col = 10.0 * math.log10(rec.p_r) if rec.p_r > 0 else -math.inf
         else:
@@ -385,7 +386,8 @@ def _build_parser() -> _Parser:
     mc.add_argument("--pr-points", dest="pr_points", type=int,
                     help=f"budgets per curve, at most {MAX_SWEEP_POINTS}")
     mc.add_argument("--n-samples", dest="n_samples", type=int,
-                    help=f"samples per curve, at most {MAX_SAMPLES}")
+                    help=f"samples per curve, at most {MAX_SAMPLES}; samples x curves x "
+                         f"--pr-points at most {MAX_SAMPLE_POINTS}")
     mc.add_argument("--seed", dest="seed", type=int)
     mc.add_argument("--strategies", dest="strategies")
     mc.add_argument("--pr-axis", choices=["w", "db"], default="w",

@@ -15,12 +15,11 @@ import math
 import numpy as np
 
 from .af import _HALF_LOG2_E, _MIN_NORMAL, SecrecyResult, _exact_lanes, _inactive, _zero_where
-from .channel import DerivedParams, PowerBudget, Strategy
+from .channel import DerivedParams, PowerBudget, Strategy, secrecy_possible
 
 __all__ = [
     "source_relay_capacity",
     "second_hop_secrecy_capacity",
-    "df_active",
     "df_batch",
     "df_balancing_gain",
     "df_first_cut",
@@ -74,17 +73,11 @@ def df_first_cut(mu):
     return 0.5 * np.log2(mu)
 
 
-def df_active(alpha, beta, mu):
-    """The lanes `df_batch` evaluates, alpha > beta; both its outputs are
-    zero on the others at every budget."""
-    return alpha > beta
-
-
 def df_lane_terms(alpha, beta, mu, balancing_gain=None):
     """The per-lane terms of `df_batch` that do not depend on the budget, as
     the tuple (balancing gain, 0.5*log2(mu), alpha - beta, inactive) it
-    takes as `lanes=`. `inactive` masks the lanes outside `df_active`, and
-    is None when there are none.
+    takes as `lanes=`. `inactive` masks the lanes outside `secrecy_possible`,
+    and is None when there are none.
 
     `balancing_gain`, if given, must be `df_balancing_gain(alpha, beta,
     mu)`; a caller that already holds it passes it.
@@ -92,7 +85,8 @@ def df_lane_terms(alpha, beta, mu, balancing_gain=None):
     if balancing_gain is None:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             balancing_gain = df_balancing_gain(alpha, beta, mu)
-    return balancing_gain, df_first_cut(mu), alpha - beta, _inactive(df_active(alpha, beta, mu))
+    inactive = _inactive(secrecy_possible(alpha, beta, mu))
+    return balancing_gain, df_first_cut(mu), alpha - beta, inactive
 
 
 def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
@@ -100,11 +94,11 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
     """DF (capacity, consumed power), lanewise over arrays or scalars.
 
     The only DF capacity formula in the package:
-    0.5*min(log2(mu), log2(1 + (alpha-beta)*P_r/(1+beta*P_r))), zero when
-    alpha <= beta. Consumed power equals the squared gain because the
-    re-encoded symbol has unit power: full power, or, on the lanes where
-    the second hop is the stronger cut, the cut-balancing gain
-    (mu-1)/(alpha-beta*mu) capped at P_r.
+    0.5*min(log2(mu), log2(1 + (alpha-beta)*P_r/(1+beta*P_r))), zero with
+    zero consumed power when alpha <= beta or mu == 1. Consumed power equals
+    the squared gain because the re-encoded symbol has unit power: full
+    power, or, on the lanes where the second hop is the stronger cut, the
+    cut-balancing gain (mu-1)/(alpha-beta*mu) capped at P_r.
 
     `lanes`, if given, must be `df_lane_terms(alpha, beta, mu, ...)`: a
     caller that evaluates the same lanes at several budgets computes it

@@ -28,6 +28,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import secrecy_possible
+
 __all__ = [
     "RatioQuadraticProblem",
     "SolverBranch",
@@ -198,7 +200,7 @@ def _pi_derivative(prob: RatioQuadraticProblem, lam: float) -> float:
 
 
 def _is_degenerate(prob: RatioQuadraticProblem) -> bool:
-    return prob.alpha <= prob.beta or prob.mu <= 1.0 or prob.x_max <= 0.0
+    return not secrecy_possible(prob.alpha, prob.beta, prob.mu) or prob.x_max <= 0.0
 
 
 _DEGENERATE_SOLUTION = LambdaSolution(1.0, 0.0, SolverBranch.DEGENERATE)

@@ -19,12 +19,13 @@ or evaluates the chunk (numpy's Generator releases the GIL for the fill), so
 the draw runs ahead of the caller and memory does not grow with the sample
 count or the number of variances. Each |h|^2 is var/2*(x*x + y*y)
 of a pair (x, y) of a sample's normals, and a value that overflows is a
-ValueError. The sweep leaves out the samples a kernel gives zero at every
-budget (af_active, df_active), evaluates the kernels only on samples whose
+ValueError. Per chunk and curve the sweep counts the samples where no
+secrecy is possible (`secrecy_possible`) as zeros and gathers the others
+once for both strategies, evaluates the kernels only on samples whose
 output still depends on the budget, and hands them every per-sample term
-that does not depend on it, built once per chunk, curve and strategy, as
-their `lanes=` argument. Per budget it reduces only the capacities of the
-samples not yet settled: a sample consumes the budget itself while its AF
+that does not depend on it, built once per strategy, as their `lanes=`
+argument. Per budget it reduces only the capacities of the samples not yet
+settled: a sample consumes the budget itself while its AF
 saturation budget or DF balancing gain is at or above it, and that
 threshold, which the sweep holds sorted, once it has settled. Each group
 of values is carried as (count, sum, root), root the square root of its
@@ -39,13 +40,13 @@ import operator
 import sys
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .af import af_active, af_batch, af_lane_terms, af_saturation_budget
-from .channel import Strategy, db_to_linear
-from .df import df_active, df_balancing_gain, df_batch, df_lane_terms
+from .af import af_batch, af_lane_terms, af_saturation_budget
+from .channel import Strategy, db_to_linear, secrecy_possible
+from .df import df_balancing_gain, df_batch, df_lane_terms
 
 __all__ = [
     "EnsembleConfig",
@@ -56,10 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Fading variances, source power (dBW), budget grid, and sampling controls."""
+    """Fading variances (`var_hd`: one curve each, all on one draw), source
+    power (dBW), budget grid, and sampling controls."""
 
     var_hr: float = 1.0
-    var_hd: float = 1.0
+    var_hd: tuple[float, ...] = (1.0,)
     var_he: float = 1.0
     p_s_dbw: float = 10.0
     p_r_grid: tuple[float, ...] = tuple(np.linspace(0.0, 20.0, 41))
@@ -68,8 +70,11 @@ class EnsembleConfig:
     strategies: tuple[Strategy, ...] = (Strategy.AF, Strategy.DF)
 
     def __post_init__(self) -> None:
-        for name in ("var_hr", "var_hd", "var_he"):
-            v = getattr(self, name)
+        if not isinstance(self.var_hd, tuple) or not self.var_hd:
+            raise ValueError(f"var_hd must be a non-empty tuple of variances, got {self.var_hd!r}")
+        object.__setattr__(self, "var_hd", tuple(map(float, self.var_hd)))
+        for name, v in (("var_hr", self.var_hr), *(("var_hd", v) for v in self.var_hd),
+                        ("var_he", self.var_he)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite variance, got {v!r}")
         if not math.isfinite(self.p_s_dbw):
@@ -122,12 +127,11 @@ class SweepRecord:
     seed: int
 
 
-# Per strategy: the lanes its kernel evaluates (it gives the others (0, 0)
-# at every budget), the threshold past which its output is constant, and
-# (alpha, beta, mu, threshold) -> the kernel's `lanes=` terms.
+# Per strategy: the threshold past which its kernel's output is constant,
+# and (alpha, beta, mu, threshold) -> the kernel's `lanes=` terms.
 _STRATEGIES = {
-    Strategy.AF: (af_active, af_saturation_budget, af_lane_terms),
-    Strategy.DF: (df_active, df_balancing_gain, df_lane_terms),
+    Strategy.AF: (af_saturation_budget, af_lane_terms),
+    Strategy.DF: (df_balancing_gain, df_lane_terms),
 }
 _KERNELS = {Strategy.AF: af_batch, Strategy.DF: df_batch}
 
@@ -269,19 +273,18 @@ def _merge(a, b):
 def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     """Moments of (capacity, consumed) over one chunk at every budget.
 
-    Returns the moments (count, sum, root) of capacity, then of consumed
-    power, at each budget in turn: 2*len(grid) of them. Lanes
-    the kernel does not evaluate (`af_active`, `df_active`: alpha <= beta,
-    and for AF mu == 1) are (0, 0) at every budget and are left out first.
-    The others are sorted by their threshold s, past which the kernel
-    output is constant, and the kernel runs only on the tail not yet
-    settled. A lane settles, after the lanes before it, at a budget p > s
-    where its consumed power is s: for AF at any such p, for DF where the
-    kernel took the cut-balancing branch, which it keeps at larger budgets
-    because its second cut is nondecreasing in P_r. (At p = s the two cuts
-    tie up to rounding and either branch may be taken.) A settled lane's
-    outputs are its values at every later budget, so each lane gets the
-    value a call on all lanes gives it, bit for bit.
+    `alpha`, `beta` and `mu` hold only lanes where `secrecy_possible`
+    holds; the others are (0, 0) at every budget. Returns the moments
+    (count, sum, root) of capacity, then of consumed power, at each budget
+    in turn: 2*len(grid) of them. The lanes are sorted by their threshold
+    s, past which the kernel output is constant, and the kernel runs only
+    on the tail not yet settled. A lane settles, after the lanes before it,
+    at a budget p > s where its consumed power is s: for AF at any such p,
+    for DF where the kernel took the cut-balancing branch, which it keeps
+    at larger budgets because its second cut is nondecreasing in P_r. (At
+    p = s the two cuts tie up to rounding and either branch may be taken.)
+    A settled lane's outputs are its values at every later budget, so each
+    lane gets the value a call on all lanes gives it, bit for bit.
 
     The consumed power is taken from the sorted thresholds, not from the
     tail: a settled lane consumes its threshold, and a lane with s >= p
@@ -290,15 +293,12 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
     the cuts tie, are reduced from the kernel's consumed row, which is
     otherwise read only to find the settling prefix.
     """
-    size = alpha.size
-    active, threshold_of, lane_terms = _STRATEGIES[strategy]
-    lanes = np.flatnonzero(active(alpha, beta, mu))
-    alpha, beta, mu = alpha.take(lanes), beta.take(lanes), mu.take(lanes)
+    threshold_of, lane_terms = _STRATEGIES[strategy]
     with np.errstate(divide="ignore", invalid="ignore"):
         threshold = threshold_of(alpha, beta, mu)
     order = np.argsort(threshold)
     alpha, beta, mu, threshold = (a.take(order) for a in (alpha, beta, mu, threshold))
-    del lanes, order  # not held through the budget loop
+    del order  # not held through the budget loop
     below = np.searchsorted(threshold, grid)  # lanes with s < p, per budget
     kernel = _KERNELS[strategy]
     terms = lane_terms(alpha, beta, mu, threshold)
@@ -327,36 +327,35 @@ def _chunk_moments(strategy: Strategy, alpha, beta, mu, grid):
         if count:
             done += count
             tail = tuple(None if term is None else term[done:] for term in terms)
-    return [_merge((size - alpha.size, 0.0, 0.0), group) for group in out]
+    return out
 
 
-def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
+def ergodic_sweep(cfg: EnsembleConfig) -> list[SweepRecord]:
     """Mean secrecy capacity and consumed relay power per (strategy, budget),
-    for configs that differ only in var_hd.
+    for each destination variance in cfg.var_hd.
 
-    The configs share one draw: each chunk is drawn once and only alpha is
-    built per config. Records are config-major in argument order, then
-    strategy-major in config order, budgets ascending; each config's records
+    The curves share one draw: each chunk is drawn once and only alpha is
+    built per curve. Records are curve-major in var_hd order, then
+    strategy-major in config order, budgets ascending; each curve's records
     equal those of a sweep of it alone. Each sample's values are those the
     kernels give it on the whole ensemble; means and standard errors, merged
     chunk by chunk, differ from one-block numpy reductions only by rounding.
     """
-    if not cfgs:
-        raise ValueError("ergodic_sweep needs at least one config")
-    cfg = cfgs[0]
-    if any(replace(other, var_hd=cfg.var_hd) != cfg for other in cfgs):
-        raise ValueError("configs swept together may differ only in var_hd")
     empty = [(0, 0.0, 0.0)] * (2 * len(cfg.p_r_grid))
-    totals = {(k, s): empty for k in range(len(cfgs)) for s in cfg.strategies}
+    totals = {(k, s): empty for k in range(len(cfg.var_hd)) for s in cfg.strategies}
     with closing(_chunks(cfg)) as chunks:
         for g_d, beta, mu in chunks:
-            for k, curve in enumerate(cfgs):
+            for k, var_hd in enumerate(cfg.var_hd):
                 with np.errstate(over="ignore"):
-                    alpha = _finite(g_d * (curve.var_hd / 2.0), "alpha = |h_d|^2",
-                                    "var_hd", curve.var_hd)
+                    alpha = _finite(g_d * (var_hd / 2.0), "alpha = |h_d|^2", "var_hd", var_hd)
+                lanes = np.flatnonzero(secrecy_possible(alpha, beta, mu))
+                zeros = (alpha.size - lanes.size, 0.0, 0.0)
+                active = tuple(a.take(lanes) for a in (alpha, beta, mu))
+                del alpha, lanes  # not held through the strategies
                 for strategy in cfg.strategies:
-                    chunk = _chunk_moments(strategy, alpha, beta, mu, cfg.p_r_grid)
-                    totals[k, strategy] = list(map(_merge, totals[k, strategy], chunk))
+                    chunk = _chunk_moments(strategy, *active, cfg.p_r_grid)
+                    totals[k, strategy] = [_merge(total, _merge(zeros, group))
+                                           for total, group in zip(totals[k, strategy], chunk)]
     records: list[SweepRecord] = []
     for (k, strategy), groups in totals.items():
         estimates = [(total / n, root / math.sqrt(n - 1) / math.sqrt(n) if n > 1 else 0.0)
@@ -366,7 +365,7 @@ def ergodic_sweep(*cfgs: EnsembleConfig) -> list[SweepRecord]:
             records.append(
                 SweepRecord(
                     strategy=strategy,
-                    var_hd=cfgs[k].var_hd,
+                    var_hd=cfg.var_hd[k],
                     p_r=p_r,
                     mean_capacity=mean_c,
                     stderr_capacity=se_c,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .af import af_achievable_rate_at, af_secrecy_capacity
-from .channel import DerivedParams, PowerBudget, surrogate_channel
+from .channel import DerivedParams, PowerBudget, secrecy_possible, surrogate_channel
 from .converse import (
     NoiseCorrelation,
     bound_objective,
@@ -101,7 +101,7 @@ def solver_consistency(draws: int, rng: np.random.Generator) -> SuiteResult:
     agreement = 0.0
     evaluated = 0
     for a, b, m, p in zip(alpha, beta, mu, p_r):
-        if a <= b or m <= 1.0 or p <= 0.0:
+        if not secrecy_possible(a, b, m) or p <= 0.0:
             continue
         evaluated += 1
         prob = RatioQuadraticProblem(a, b, m, p / m)

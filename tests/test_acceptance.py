@@ -113,7 +113,7 @@ def test_criterion_7_figure_regeneration():
     # nondecreasing in the budget, so each mean is, up to rounding.
     start = time.perf_counter()
     variances = (1.0, 2.0, 4.0, 8.0)
-    sweeps = {v: ergodic_sweep(EnsembleConfig(var_hd=v, n_samples=100_000, seed=SEED))
+    sweeps = {v: ergodic_sweep(EnsembleConfig(var_hd=(v,), n_samples=100_000, seed=SEED))
               for v in variances}
     problems = []
 

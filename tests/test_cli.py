@@ -58,6 +58,18 @@ class TestCompute:
         assert code == 0
         assert "capacity        0.0" in out
 
+    def test_df_without_first_hop_signal_consumes_no_power(self, capsys):
+        # mu == 1: the second cut rounds to zero at this budget, and DF
+        # printed the whole budget as its gain and consumed power.
+        code, out, _ = run(
+            capsys, "compute", "--strategy", "df",
+            "--alpha", "1.25", "--beta", "1", "--mu", "1", "--pr", "5e-324",
+        )
+        assert code == 0
+        assert "capacity        0.0 bits/channel use\n" in out
+        assert "x_hat           0.0\n" in out
+        assert "consumed_power  0.0 W\n" in out
+
     def test_channel_gain_inputs(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--strategy", "af",
@@ -252,14 +264,14 @@ class TestMonteCarlo:
     def test_curves_share_one_sweep(self, capsys, monkeypatch):
         calls = []
         sweep = cli.ergodic_sweep
-        monkeypatch.setattr(cli, "ergodic_sweep", lambda *cfgs: calls.append(cfgs) or sweep(*cfgs))
+        monkeypatch.setattr(cli, "ergodic_sweep", lambda cfg: calls.append(cfg) or sweep(cfg))
         bodies = {}
         for var_hd in ("1", "2", "1,2"):
             code, out, _ = run(capsys, *MC_SMALL[:2], var_hd, *MC_SMALL[3:])
             assert code == 0
             bodies[var_hd] = out.split("\n", 1)[1]
         assert bodies["1,2"] == bodies["1"] + bodies["2"]
-        assert [len(cfgs) for cfgs in calls] == [1, 1, 2]
+        assert [cfg.var_hd for cfg in calls] == [(1.0,), (2.0,), (1.0, 2.0)]
 
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(capsys, "montecarlo", "--n-samples", "0", "--pr-points", "2")
@@ -309,6 +321,31 @@ class TestMonteCarlo:
                             "--n-samples", str(10**14))
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr == f"error: n_samples must be at most {cli.MAX_SAMPLES}\n"
+
+    def test_huge_run_rejected_before_drawing(self):
+        # Each flag within its own limit, together about a week of work.
+        done = run_in_child("montecarlo", "--var-hd", "1", "--pr-points", "100000",
+                            "--n-samples", str(10**9))
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == ("error: 1000000000 n_samples x 1 var_hd curves x 100000 "
+                               f"pr_points exceed {cli.MAX_SAMPLE_POINTS}\n")
+
+    def test_sample_point_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SAMPLE_POINTS", 400 * 2 * 3)
+        argv = ["montecarlo", "--var-hd", "1,2", "--pr-stop", "4", "--pr-points", "3",
+                "--seed", "11"]
+        code, out, _ = run(capsys, *argv, "--n-samples", "400")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2 * 2 * 3
+        code, out, err = run(capsys, *argv, "--n-samples", "401")
+        assert code == 1 and out == ""
+        assert err == "error: 401 n_samples x 2 var_hd curves x 3 pr_points exceed 2400\n"
+
+    def test_empty_var_hd_list_usage_error(self, capsys):
+        code, out, err = run(capsys, "montecarlo", "--var-hd", ",", "--n-samples", "10")
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: var_hd must be a non-empty tuple")
 
     def test_huge_source_power_usage_error(self, capsys):
         code, out, err = run(capsys, *MC_SMALL, "--ps-dbw", "4000")

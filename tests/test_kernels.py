@@ -271,7 +271,7 @@ def frozen_df_batch(alpha, beta, mu, p_r):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p_r = np.asarray(p_r, dtype=float)
         snr = _frozen_second_hop_gain(alpha, beta, p_r)
-        positive = alpha > beta
+        positive = (alpha > beta) & (mu > 1.0)
         redo = positive & (p_r > 0.0) & ~(snr >= sys.float_info.min)
         if np.any(redo):
             snr = _frozen_exact_lanes(_frozen_second_hop_gain, snr, redo, alpha, beta, p_r)
@@ -384,14 +384,27 @@ def test_balancing_gain_is_the_ratio_or_inf():
                 [(4.0, 1.0, 3.0), (2.0, 1.0, 3.0), (2.0, 2.0, 1.0)]] == [2.0, math.inf, math.inf]
 
 
+def test_kernels_give_zero_where_the_first_hop_carries_no_signal():
+    # mu == 1: no secrecy and no relay power at any budget. DF consumed the
+    # whole budget where its second cut rounded to zero, as at 5e-324.
+    alpha = np.array([1.25, 2.0, 1e300, 5e-324, 1.0, 0.5])
+    beta = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    mu = np.ones_like(alpha)
+    for kernel in (af_batch, df_batch):
+        for p_r in (0.0, 5e-324, 1e-300, 1.0, math.inf):
+            assert_same_bits(kernel(alpha, beta, mu, p_r),
+                             (np.zeros_like(alpha), np.zeros_like(alpha)))
+            assert [float(v) for v in kernel(1.25, 1.0, 1.0, p_r)] == [0.0, 0.0]
+
+
 def test_df_batch_consumed_power_is_the_gain_where_the_second_cut_is_larger():
     # At budgets equal to each lane's balancing gain and one ulp either
     # side, where the two cuts tie up to rounding; lanes 500-600 have an inf
-    # gain, and the alpha <= beta lanes are inactive.
+    # gain, and the alpha <= beta and mu == 1 lanes are inactive.
     alpha, beta, mu = _kernel_lanes()
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = df.df_balancing_gain(alpha, beta, mu)
-    active = alpha > beta
+    active = (alpha > beta) & (mu > 1.0)
     own = np.where(np.isfinite(gain), gain, 1.0)
     takes = {"gain": 0, "budget where the gain rounds above it": 0, "full power": 0}
     for p_r in (own, np.nextafter(own, 0.0), np.nextafter(own, np.inf)):

@@ -24,6 +24,7 @@ from secrelay.channel import (
     Strategy,
     db_to_linear,
     derive_params,
+    secrecy_possible,
 )
 from secrelay.df import df_balancing_gain, df_secrecy_capacity
 from secrelay.montecarlo import (
@@ -51,7 +52,19 @@ class TestConfigValidation:
 
     def test_bad_variance(self):
         with pytest.raises(ValueError):
-            EnsembleConfig(var_hd=0.0)
+            EnsembleConfig(var_hd=(0.0,))
+
+    @pytest.mark.parametrize("var_hd", [1.0, np.float64(1.0), (), (1.0, 0.0), (-1.0,),
+                                        (1.0, math.inf), (math.nan,)])
+    def test_var_hd_is_a_non_empty_tuple_of_variances(self, var_hd):
+        # One curve per entry: a bare float is no tuple of curves.
+        with pytest.raises(ValueError, match="var_hd must be"):
+            EnsembleConfig(var_hd=var_hd)
+
+    def test_var_hd_entries_stored_as_floats(self):
+        cfg = EnsembleConfig(var_hd=(np.float64(2.0), 3))
+        assert cfg.var_hd == (2.0, 3.0)
+        assert all(type(v) is float for v in cfg.var_hd)
 
     def test_bad_seed(self):
         with pytest.raises(ValueError):
@@ -101,17 +114,17 @@ def _gains(cfg, z):
     """h_r, h_d, h_e of the standard normals z, each sqrt(var/2)*(x + 1j*y)
     of its pair of columns."""
     return tuple(math.sqrt(var / 2.0) * (z[..., k] + 1j * z[..., k + 1])
-                 for var, k in ((cfg.var_hr, 0), (cfg.var_hd, 2), (cfg.var_he, 4)))
+                 for var, k in ((cfg.var_hr, 0), (cfg.var_hd[0], 2), (cfg.var_he, 4)))
 
 
 def _sweep_lanes(monkeypatch, cfg):
-    """The (alpha, beta, mu) of every sample, chunk by chunk, as the sweep
-    hands them to the strategy's evaluation."""
+    """The (alpha, beta, mu) of every sample of a one-curve sweep, chunk by
+    chunk, as the sweep builds them and tests where secrecy is possible."""
     lanes = []
-    moments = montecarlo._chunk_moments
-    monkeypatch.setattr(montecarlo, "_chunk_moments", lambda strategy, *args: (
-        lanes.append(args[:3]) or moments(strategy, *args)))
-    ergodic_sweep(replace(cfg, strategies=(Strategy.DF,)))
+    possible = montecarlo.secrecy_possible
+    monkeypatch.setattr(montecarlo, "secrecy_possible", lambda *args: (
+        lanes.append(args) or possible(*args)))
+    ergodic_sweep(cfg)
     return tuple(np.concatenate(column) for column in zip(*lanes))
 
 
@@ -119,7 +132,7 @@ class TestSampling:
     @pytest.mark.parametrize("var", [1.0, 4.0])
     def test_mean_square_gain_matches_variance(self, monkeypatch, var):
         # Each |h|^2 is exponential with mean var; mu - 1 is p_s times one.
-        cfg = EnsembleConfig(var_hr=var, var_hd=var, var_he=var,
+        cfg = EnsembleConfig(var_hr=var, var_hd=(var,), var_he=var,
                              **{**SMALL, "n_samples": 300_000, "seed": 8})
         alpha, beta, mu = _sweep_lanes(monkeypatch, cfg)
         for power in (alpha, beta, (mu - 1.0) / db_to_linear(cfg.p_s_dbw)):
@@ -135,7 +148,7 @@ class TestSweepInputs:
         # Across chunk edges, bit for bit against one (n, 6) block, and to
         # rounding against derive_params of the gains the normals stand for.
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
-        cfg = EnsembleConfig(var_hr=2.0, var_hd=var_hd, var_he=0.7, p_s_dbw=7.0,
+        cfg = EnsembleConfig(var_hr=2.0, var_hd=(var_hd,), var_he=0.7, p_s_dbw=7.0,
                              n_samples=2 * SMALL_CHUNK + 5, seed=31)
         got = _sweep_lanes(monkeypatch, cfg)
         z = np.random.default_rng(cfg.seed).standard_normal((cfg.n_samples, 6))
@@ -241,9 +254,8 @@ class TestSweep:
         at = lambda recs, p: next(
             r.mean_capacity for r in recs if r.strategy is Strategy.AF and r.p_r == p
         )
-        caps = [
-            at(ergodic_sweep(EnsembleConfig(var_hd=v, **base)), 8.0) for v in (1.0, 2.0, 4.0, 8.0)
-        ]
+        caps = [at(ergodic_sweep(EnsembleConfig(var_hd=(v,), **base)), 8.0)
+                for v in (1.0, 2.0, 4.0, 8.0)]
         assert all(b > a for a, b in zip(caps, caps[1:]))
 
     def test_strategy_subset(self):
@@ -268,7 +280,7 @@ class TestTinyBudgets:
         # of the 1e-100 value times 1e-215; means and standard errors, sums
         # and roots of such values, stay within a small multiple of that.
         def per_budget(q):
-            cfg = EnsembleConfig(var_hd=1.0, p_r_grid=(q,), n_samples=1000, seed=42)
+            cfg = EnsembleConfig(var_hd=(1.0,), p_r_grid=(q,), n_samples=1000, seed=42)
             return _as_array(ergodic_sweep(cfg)) / q
 
         got, want = per_budget(p), per_budget(1e-100)
@@ -277,7 +289,7 @@ class TestTinyBudgets:
         np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
     def test_other_budgets_keep_their_bits(self):
-        base = dict(var_hd=2.0, n_samples=3001, seed=30)
+        base = dict(var_hd=(2.0,), n_samples=3001, seed=30)
         mixed = ergodic_sweep(EnsembleConfig(p_r_grid=(0.0, 1e-200, 1e-170, 0.5, 8.0), **base))
         alone = ergodic_sweep(EnsembleConfig(p_r_grid=(0.0, 0.5, 8.0), **base))
         assert [r for r in mixed if r.p_r not in (1e-200, 1e-170)] == alone
@@ -287,7 +299,7 @@ class TestTinyBudgets:
         # 1e-300, so every budget here consumes about 1e-300: the standard
         # error of that consumed power was 0.0 when the scale followed the
         # budget. The reference is numpy's on the values times 2**600.
-        cfg = EnsembleConfig(var_hd=1e300, var_he=1e300, p_r_grid=(1e-200, 1e-100, 1.0),
+        cfg = EnsembleConfig(var_hd=(1e300,), var_he=1e300, p_r_grid=(1e-200, 1e-100, 1.0),
                              n_samples=1000)
         alpha, beta, mu = _sweep_lanes(monkeypatch, cfg)
         records = [r for r in ergodic_sweep(cfg) if r.strategy is Strategy.AF]
@@ -326,9 +338,15 @@ class TestTinyBudgets:
 
 
 def _chunk_moments(strategy, alpha, beta, mu, grid):
-    """montecarlo._chunk_moments as (counts, sums, roots), each of shape
-    (len(grid), 2): capacity and consumed power at each budget."""
-    moments = montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+    """montecarlo._chunk_moments on the lanes where secrecy is possible, with
+    the others merged in as zeros, as the sweep does: (counts, sums, roots),
+    each of shape (len(grid), 2), of capacity and consumed power at each
+    budget."""
+    lanes = np.flatnonzero(secrecy_possible(alpha, beta, mu))
+    zeros = (alpha.size - lanes.size, 0.0, 0.0)
+    active = (a.take(lanes) for a in (alpha, beta, mu))
+    moments = [montecarlo._merge(zeros, group)
+               for group in montecarlo._chunk_moments(strategy, *active, grid)]
     return (np.reshape(column, (len(grid), 2)) for column in zip(*moments))
 
 
@@ -395,14 +413,14 @@ class TestStreaming:
     @pytest.mark.parametrize("var_hd", [1.0, 8.0])
     def test_matches_whole_block_reference(self, monkeypatch, n, var_hd):
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
-        cfg = EnsembleConfig(var_hd=var_hd, p_r_grid=STREAM_GRID, n_samples=n, seed=21)
+        cfg = EnsembleConfig(var_hd=(var_hd,), p_r_grid=STREAM_GRID, n_samples=n, seed=21)
         got, want = _as_array(ergodic_sweep(cfg)), _block_reference(cfg)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         if n == 1:
             assert not got[:, [1, 3]].any()
 
     def test_independent_of_chunk_size(self, monkeypatch):
-        cfg = EnsembleConfig(var_hd=4.0, p_r_grid=STREAM_GRID, n_samples=3001, seed=22)
+        cfg = EnsembleConfig(var_hd=(4.0,), p_r_grid=STREAM_GRID, n_samples=3001, seed=22)
         results = []
         for chunk in (7, 1000, 3001, montecarlo._CHUNK):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
@@ -444,10 +462,10 @@ class TestSharedDraw:
                                    2 * SMALL_CHUNK + 3])
     def test_equals_separate_sweeps(self, monkeypatch, n):
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
-        cfgs = [EnsembleConfig(var_hd=v, p_r_grid=STREAM_GRID, n_samples=n, seed=25)
-                for v in SHARED_VARS]
-        records = ergodic_sweep(*cfgs)
-        assert records == [rec for cfg in cfgs for rec in ergodic_sweep(cfg)]
+        cfg = EnsembleConfig(var_hd=SHARED_VARS, p_r_grid=STREAM_GRID, n_samples=n, seed=25)
+        records = ergodic_sweep(cfg)
+        assert records == [rec for v in SHARED_VARS
+                           for rec in ergodic_sweep(replace(cfg, var_hd=(v,)))]
         per_curve = 2 * len(STREAM_GRID)
         assert [r.var_hd for r in records] == [v for v in SHARED_VARS for _ in range(per_curve)]
 
@@ -458,33 +476,13 @@ class TestSharedDraw:
         params = montecarlo._params_from_normals
         monkeypatch.setattr(montecarlo, "_params_from_normals", lambda cfg, p_s, z, out: (
             draws.append(len(z)) or params(cfg, p_s, z, out)))
-        cfgs = [EnsembleConfig(var_hd=v, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
-                for v in SHARED_VARS]
-        ergodic_sweep(*cfgs)
+        ergodic_sweep(EnsembleConfig(var_hd=SHARED_VARS,
+                                     **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3}))
         assert draws == [SMALL_CHUNK // 2] * 4 + [3]
 
     def test_same_variance_twice(self):
-        cfg = EnsembleConfig(**SMALL)
-        once = ergodic_sweep(cfg)
-        assert ergodic_sweep(cfg, cfg) == once + once
-
-    @pytest.mark.parametrize("change", [
-        {"seed": 8},
-        {"n_samples": 2001},
-        {"var_hr": 2.0},
-        {"var_he": 0.5},
-        {"p_s_dbw": 11.0},
-        {"p_r_grid": (0.0, 0.5, 2.0, 9.0)},
-        {"strategies": (Strategy.AF,)},
-        {"strategies": (Strategy.DF, Strategy.AF)},
-    ])
-    def test_other_differences_rejected(self, change):
-        base = EnsembleConfig(**SMALL)
-        other = EnsembleConfig(**{**SMALL, "var_hd": 2.0, **change})
-        with pytest.raises(ValueError, match="only in var_hd"):
-            ergodic_sweep(base, other)
-        with pytest.raises(ValueError, match="only in var_hd"):
-            ergodic_sweep(base, base, other)
+        once = ergodic_sweep(EnsembleConfig(**SMALL))
+        assert ergodic_sweep(EnsembleConfig(var_hd=(1.0, 1.0), **SMALL)) == once + once
 
     def test_chunk_keeps_no_view_of_the_normals(self, monkeypatch):
         # So that the piece buffers are refilled while the curves are
@@ -495,18 +493,14 @@ class TestSharedDraw:
             for chunk in chunks:
                 assert all(term.base is None for term in chunk)
 
-    def test_no_config_rejected(self):
-        with pytest.raises(ValueError):
-            ergodic_sweep()
-
     def test_memory_flat_in_curve_count(self):
         # Nearby variances, so that every curve evaluates about as many lanes.
         def peak(curves):
-            cfgs = [EnsembleConfig(var_hd=4.0 + k / 64, p_r_grid=(0.0, 1.0, 4.0),
-                                   n_samples=2**17, seed=26) for k in range(curves)]
+            cfg = EnsembleConfig(var_hd=tuple(4.0 + k / 64 for k in range(curves)),
+                                 p_r_grid=(0.0, 1.0, 4.0), n_samples=2**17, seed=26)
             tracemalloc.start()
             try:
-                ergodic_sweep(*cfgs)
+                ergodic_sweep(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -521,7 +515,7 @@ class TestOverflow:
     @pytest.mark.parametrize("field, var, name", [
         ("var_hr", 1e307, "mu"), ("var_he", 1e308, "beta"), ("var_hd", 1e308, "alpha")])
     def test_overflowed_gain_rejected(self, field, var, name):
-        cfg = EnsembleConfig(**{**SMALL, field: var})
+        cfg = EnsembleConfig(**{**SMALL, field: (var,) if field == "var_hd" else var})
         baseline = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -530,13 +524,13 @@ class TestOverflow:
         assert threading.active_count() == baseline
 
     def test_one_overflowing_curve_rejects_the_sweep(self):
-        cfgs = [EnsembleConfig(**SMALL), EnsembleConfig(**{**SMALL, "var_hd": 1e308})]
+        cfg = EnsembleConfig(var_hd=(1.0, 1e308), **SMALL)
         with pytest.raises(ValueError, match="var_hd=1e\\+308"):
-            ergodic_sweep(*cfgs)
+            ergodic_sweep(cfg)
 
     def test_largest_finite_gains_accepted(self):
         # Every lane finite: the check rejects nothing a sweep could evaluate.
-        cfg = EnsembleConfig(**{**SMALL, "var_hd": 1e300, "var_he": 1e300})
+        cfg = EnsembleConfig(**{**SMALL, "var_hd": (1e300,), "var_he": 1e300})
         records = ergodic_sweep(cfg)
         assert all(math.isfinite(r.mean_capacity) for r in records)
 
@@ -684,11 +678,11 @@ class TestPieces:
         (7, 1), (7, 3), (7, 4), (7, 8), (7, 11), (7, 40), (1, 5)])
     def test_records_equal_a_one_buffer_serial_draw(self, monkeypatch, chunk, n):
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        cfgs = [EnsembleConfig(var_hr=2.0, var_hd=v, var_he=0.7, p_r_grid=STREAM_GRID,
-                               n_samples=n, seed=28) for v in (1.0, 8.0)]
-        got = ergodic_sweep(*cfgs)
+        cfg = EnsembleConfig(var_hr=2.0, var_hd=(1.0, 8.0), var_he=0.7, p_r_grid=STREAM_GRID,
+                             n_samples=n, seed=28)
+        got = ergodic_sweep(cfg)
         monkeypatch.setattr(montecarlo, "_chunks", _serial_chunks)
-        assert got == ergodic_sweep(*cfgs)
+        assert got == ergodic_sweep(cfg)
 
     def test_next_fill_submitted_before_a_piece_is_built(self, monkeypatch):
         # Each build waits until the next piece's fill has started: had the
@@ -778,6 +772,18 @@ def _edge_lanes():
     return alpha, beta, mu
 
 
+def _sweep_one_chunk(monkeypatch, alpha, beta, mu, grid):
+    """ergodic_sweep over the given lanes as its one chunk, in place of a
+    draw: the chunk's g_d is alpha and var_hd is 2, so the sweep's alpha is
+    alpha itself."""
+    def one_chunk(cfg):
+        yield alpha.copy(), beta.copy(), mu.copy()
+
+    monkeypatch.setattr(montecarlo, "_chunks", one_chunk)
+    return ergodic_sweep(EnsembleConfig(var_hd=(2.0,), p_r_grid=tuple(grid),
+                                        n_samples=alpha.size))
+
+
 def _edge_grid(alpha, beta, mu):
     # Budgets at and one ulp above some lanes' thresholds. At its DF
     # threshold the two cuts are equal up to rounding, so the kernel may take
@@ -822,9 +828,8 @@ class TestChunkEvaluation:
         from secrelay import af, df
 
         monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
-        cfgs = [EnsembleConfig(var_hd=v, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
-                for v in SHARED_VARS]
-        want = ergodic_sweep(*cfgs)
+        cfg = EnsembleConfig(var_hd=SHARED_VARS, **{**SMALL, "n_samples": 2 * SMALL_CHUNK + 3})
+        want = ergodic_sweep(cfg)
 
         def fail(*args, **kwargs):
             raise AssertionError("a kernel recomputed a lane term")
@@ -833,10 +838,10 @@ class TestChunkEvaluation:
                              (df, "df_lane_terms"), (df, "df_balancing_gain")]:
             monkeypatch.setattr(module, name, fail)
         built = []
-        for strategy, (active, threshold, terms) in list(montecarlo._STRATEGIES.items()):
+        for strategy, (threshold, terms) in list(montecarlo._STRATEGIES.items()):
             monkeypatch.setitem(montecarlo._STRATEGIES, strategy, (
-                active, threshold, lambda *a, _s=strategy, _t=terms: built.append(_s) or _t(*a)))
-        assert ergodic_sweep(*cfgs) == want
+                threshold, lambda *a, _s=strategy, _t=terms: built.append(_s) or _t(*a)))
+        assert ergodic_sweep(cfg) == want
         assert built == [Strategy.AF, Strategy.DF] * (3 * len(SHARED_VARS))
 
     @pytest.mark.parametrize("strategy, never_settle", [
@@ -849,7 +854,7 @@ class TestChunkEvaluation:
         grid = _edge_grid(alpha, beta, mu)
         spy = _SpyKernel(montecarlo._KERNELS[strategy])
         monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
-        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        _chunk_moments(strategy, alpha, beta, mu, grid)
         assert len(spy.calls) == grid.size
         for a, b, m, _, _ in spy.calls:
             assert np.isin(alpha[never_settle], a).all()
@@ -859,36 +864,48 @@ class TestChunkEvaluation:
         assert spy.calls[-1][0].size < spy.calls[0][0].size
 
     def test_af_leaves_out_lanes_with_mu_one(self, monkeypatch):
-        # AF is (0, 0) at every budget where mu == 1. Those lanes are left
-        # out with the alpha <= beta ones, so the lanes sorted after them
-        # still settle: each call holds exactly the lanes whose saturation
-        # budget is at least the budget before. (The sums and roots on these
-        # lanes are checked by test_per_lane_values_match_one_call.)
+        # AF and DF are (0, 0) at every budget where mu == 1. The sweep
+        # leaves those lanes out with the alpha <= beta ones, for both
+        # kernels, so the AF lanes sorted after them still settle: each AF
+        # call holds exactly the lanes whose saturation budget is at least
+        # the budget before. (The sums and roots on these lanes are checked
+        # by test_kernels_get_no_inactive_mask.)
         alpha, beta, mu = _edge_lanes()
         grid = _edge_grid(alpha, beta, mu)
         one = mu == 1.0
         assert one.sum() == 10 and (alpha[one] > beta[one]).any()
-        spy = _SpyKernel(montecarlo._KERNELS[Strategy.AF])
-        monkeypatch.setitem(montecarlo._KERNELS, Strategy.AF, spy)
-        montecarlo._chunk_moments(Strategy.AF, alpha, beta, mu, grid)
+        spies = {s: _SpyKernel(montecarlo._KERNELS[s]) for s in (Strategy.AF, Strategy.DF)}
+        for strategy, spy in spies.items():
+            monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
+        _sweep_one_chunk(monkeypatch, alpha, beta, mu, grid)
         active = (alpha > beta) & ~one
         with np.errstate(divide="ignore"):
             s = af_saturation_budget(alpha[active], beta[active], mu[active])
-        for k, (a, _, m, _, _) in enumerate(spy.calls):
-            assert not (m == 1.0).any()
-            assert a.size == (s.size if k == 0 else np.sum(s >= grid[k - 1]))
+        for strategy, spy in spies.items():
+            assert spy.calls[0][0].size == s.size
+            for k, (a, _, m, _, _) in enumerate(spy.calls):
+                assert not (m == 1.0).any()
+                if strategy is Strategy.AF:
+                    assert a.size == (s.size if k == 0 else np.sum(s >= grid[k - 1]))
 
     @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
     def test_kernels_get_no_inactive_mask(self, monkeypatch, strategy):
         # The chunk has inactive lanes of every kind, and the sweep hands
-        # the kernels none of them, so no zeroing pass runs.
+        # the kernels none of them, so no zeroing pass runs; it counts them
+        # as zeros, so each record is the mean of one call on every lane.
         alpha, beta, mu = _edge_lanes()
         grid = _edge_grid(alpha, beta, mu)
         spy = _SpyKernel(montecarlo._KERNELS[strategy])
         monkeypatch.setitem(montecarlo._KERNELS, strategy, spy)
-        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        records = [r for r in _sweep_one_chunk(monkeypatch, alpha, beta, mu, grid)
+                   if r.strategy is strategy]
         assert len(spy.terms) == grid.size
         assert all(terms is not None and terms[-1] is None for terms in spy.terms)
+        assert all(secrecy_possible(a, b, m).all() for a, b, m, _, _ in spy.calls)
+        for record, p_r in zip(records, grid):
+            capacity, consumed = spy.kernel(alpha, beta, mu, p_r)
+            np.testing.assert_allclose([record.mean_capacity, record.mean_consumed_power],
+                                       [capacity.mean(), consumed.mean()], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("strategy", [Strategy.AF, Strategy.DF])
     def test_consumed_power_not_reduced_over_the_tail(self, monkeypatch, strategy):
@@ -905,10 +922,10 @@ class TestChunkEvaluation:
         moments = montecarlo._moments
         monkeypatch.setattr(montecarlo, "_moments",
                             lambda row: reduced.append(row.size) or moments(row))
-        montecarlo._chunk_moments(strategy, alpha, beta, mu, grid)
+        _chunk_moments(strategy, alpha, beta, mu, grid)
         a, b, m = spy.calls[0][:3]
         with np.errstate(divide="ignore", invalid="ignore"):
-            below = np.searchsorted(np.sort(montecarlo._STRATEGIES[strategy][1](a, b, m)), grid)
+            below = np.searchsorted(np.sort(montecarlo._STRATEGIES[strategy][0](a, b, m)), grid)
         tails = [call[0].size for call in spy.calls]
         bound = sum(tail + max(0, j - (a.size - tail)) for tail, j in zip(tails, below))
         assert sum(reduced) <= bound

@@ -34,7 +34,7 @@ _HALF_LOG2_E = 0.5 / math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecrecyResult:
     """Capacity in bits per channel use, the optimal squared gain, and the
     relay transmit power actually consumed at that gain."""

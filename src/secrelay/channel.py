@@ -46,7 +46,7 @@ def _require_finite_complex(name: str, z: complex) -> None:
         raise ValueError(f"{name} must be finite, got {z!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelRealization:
     """One draw of the link gains: source->relay, relay->destination, relay->eavesdropper."""
 
@@ -60,7 +60,7 @@ class ChannelRealization:
         _require_finite_complex("h_e", complex(self.h_e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerBudget:
     """Source power per symbol and relay peak power, both in linear watts."""
 
@@ -78,7 +78,7 @@ class PowerBudget:
                 object.__setattr__(self, name, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedParams:
     """alpha = |h_d|^2, beta = |h_e|^2, mu = 1 + P_s*|h_r|^2.
 

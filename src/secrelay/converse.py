@@ -45,7 +45,7 @@ class DegenerateDistributionError(ValueError):
     """A conditional distribution collapsed (zero variance), no entropy exists."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseCorrelation:
     """Cross-correlation of the destination and eavesdropper noises."""
 
@@ -64,7 +64,7 @@ class NoiseCorrelation:
         return z.real * z.real + z.imag * z.imag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEvaluation:
     """Maximized bound value (bits per channel use) with its argmax and phi."""
 
@@ -124,7 +124,7 @@ def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelatio
     return NoiseCorrelation(complex(ch.h_d).conjugate() / complex(ch.h_e).conjugate())
 
 
-def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi):
+def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi, out=None):
     """Conditional-mutual-information bound at gain x and correlation phi:
 
         0.5*log2[ (1+beta*x)/(1+beta*mu*x) * N(mu*x) / N(x) ]
@@ -132,7 +132,8 @@ def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi):
     with N(t) from `_noise_determinant`.
 
     Accepts a scalar x, for which it returns a float, or a numpy array,
-    evaluated in cache-sized blocks. Raises when either variance term is
+    evaluated in cache-sized blocks into `out` (fresh unless given; it may
+    be `x` itself, as in numpy). Raises when either variance term is
     nonpositive (possible only at |phi| = 1).
     """
     phi = _as_correlation(phi)
@@ -150,7 +151,7 @@ def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi):
 
     if np.isscalar(x):
         return float(value(x))
-    return _blockwise(value, x)
+    return _blockwise(value, x, out)
 
 
 def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBudget,
@@ -167,7 +168,7 @@ def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBu
         return BoundEvaluation(0.0, 0.0, phi)
     x_max = pb.p_r / params.mu
     x_arg, value = maximize_on_interval(
-        lambda xs: bound_objective(ch, params, xs, phi), x_max, n_points
+        lambda xs: bound_objective(ch, params, xs, phi, out=xs), x_max, n_points
     )
     return BoundEvaluation(value, x_arg, phi)
 

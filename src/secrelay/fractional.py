@@ -51,7 +51,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioQuadraticProblem:
     """Coefficients (via alpha, beta, mu) and domain [0, x_max] of the ratio."""
 
@@ -94,7 +94,7 @@ class SolverBranch(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LambdaSolution:
     """Optimal ratio value, its maximizer, and which solver branch produced it."""
 
@@ -103,29 +103,35 @@ class LambdaSolution:
     branch: SolverBranch
 
 
-def _blockwise(fun, x):
+def _blockwise(fun, x, out=None):
     """`fun(x)` for an elementwise `fun`, evaluated `_BLOCK` points at a time.
 
     A 1-D array longer than `_BLOCK` is cut into consecutive slices whose
-    results fill one preallocated output, so the temporaries of each slice
-    stay in cache; every element gets the same operations as in one call, so
-    the values are the same bit for bit. Scalars and short arrays go straight
-    to `fun`.
+    results fill `out`, so the temporaries of each slice stay in cache;
+    every element gets the same operations as in one call, so the values
+    are the same bit for bit. `out` is a fresh float array unless given; it
+    may be `x` itself, since each slice is read before its result is
+    written. Scalars and short arrays go to `fun` whole, their result copied
+    into `out` if one is given.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 1 or x.size <= _BLOCK:
-        return fun(x)
-    first = fun(x[:_BLOCK])
-    out = np.empty(x.shape, dtype=first.dtype)
-    out[:_BLOCK] = first
-    for start in range(_BLOCK, x.size, _BLOCK):
+        if out is None:
+            return fun(x)
+        out[...] = fun(x)
+        return out
+    if out is None:
+        out = np.empty(x.shape)
+    for start in range(0, x.size, _BLOCK):
         out[start:start + _BLOCK] = fun(x[start:start + _BLOCK])
     return out
 
 
-def eval_f(prob: RatioQuadraticProblem, x):
+def eval_f(prob: RatioQuadraticProblem, x, out=None):
     """Objective value f(x); accepts a scalar or a numpy array.
 
-    The denominator is >= 1 for x >= 0, so no clamping is needed.
+    As in numpy, `out` is an optional array for the result, which may be
+    `x` itself. The denominator is >= 1 for x >= 0, so no clamping is
+    needed.
     """
     a, n1, d1 = prob.quad, prob.num_lin, prob.den_lin
 
@@ -134,7 +140,7 @@ def eval_f(prob: RatioQuadraticProblem, x):
         den = a * x * x + d1 * x + 1.0
         return num / den
 
-    return _blockwise(ratio, x)
+    return _blockwise(ratio, x, out)
 
 
 def eval_F(prob: RatioQuadraticProblem, x, lam: float):
@@ -266,18 +272,31 @@ def lambda_hat_bisection(prob: RatioQuadraticProblem, tol: float = 1e-12) -> Lam
     return LambdaSolution(lam, x_hat, branch)
 
 
+def _grid_point(x_max: float, n: int, k: int) -> float:
+    """`np.linspace(0.0, x_max, n)[k]` bit for bit, without the array: `k*step`,
+    or `(k/(n-1))*x_max` where `step` underflows to 0 (numpy's gh-5437
+    branch), and `x_max` itself as the last point."""
+    if k == n - 1:
+        return float(x_max)
+    step = x_max / (n - 1)
+    return k * step if step != 0.0 else k / (n - 1) * x_max
+
+
 def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
                          refine_tol: float = 1e-12) -> tuple[float, float]:
     """Grid scan of `fun` over [0, x_max] refined by golden-section search.
 
-    `fun` must accept a numpy array and evaluate elementwise. Ties resolve to
-    the smallest x (first grid argmax; the section search keeps the left side
-    on equal values). Each section step evaluates `fun` once: the surviving
-    interior point keeps its value. The search stops once the bracket is
-    within `refine_tol`, or when a step leaves it unshrunk: where float
-    spacing exceeds `refine_tol` (above x = 8192 for 1e-12) the bracket
-    cannot get that narrow. Deliberately brute force: this is the oracle
-    the analytic solvers are checked against.
+    `fun` must accept a numpy array and evaluate elementwise. It may write
+    its values over its argument: the grid is not read after the scan, and
+    the grid points the search needs are recomputed by `_grid_point`. So a
+    scan holds one full-size array. Ties resolve to the smallest x (first
+    grid argmax; the section search keeps the left side on equal values).
+    Each section step evaluates `fun` once: the surviving interior point
+    keeps its value. The search stops once the bracket is within
+    `refine_tol`, or when a step leaves it unshrunk: where float spacing
+    exceeds `refine_tol` (above x = 8192 for 1e-12) the bracket cannot get
+    that narrow. Deliberately brute force: this is the oracle the analytic
+    solvers are checked against.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -285,11 +304,10 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
         raise ValueError("x_max must be nonnegative")
     if x_max == 0.0:
         return 0.0, float(np.asarray(fun(np.zeros(1)))[0])
-    xs = np.linspace(0.0, x_max, n_points)
-    vals = np.asarray(fun(xs), dtype=float)
+    vals = np.asarray(fun(np.linspace(0.0, x_max, n_points)), dtype=float)
     i = int(np.argmax(vals))
-    lo = xs[i - 1] if i > 0 else 0.0
-    hi = xs[i + 1] if i + 1 < n_points else x_max
+    lo = _grid_point(x_max, n_points, i - 1) if i > 0 else 0.0
+    hi = _grid_point(x_max, n_points, i + 1) if i + 1 < n_points else x_max
 
     def _scalar(x: float) -> float:
         return float(np.asarray(fun(np.array([x])))[0])
@@ -317,10 +335,10 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
     # flat objective the left-biased section search already lands at the
     # smallest x up to refine_tol.
     if vals[i] > f_star:
-        return float(xs[i]), float(vals[i])
+        return _grid_point(x_max, n_points, i), float(vals[i])
     return float(x_star), f_star
 
 
 def grid_oracle(prob: RatioQuadraticProblem, n_points: int = 1_000_000) -> tuple[float, float]:
     """Brute-force (argmax, max) of f over [0, x_max]."""
-    return maximize_on_interval(lambda xs: eval_f(prob, xs), prob.x_max, n_points)
+    return maximize_on_interval(lambda xs: eval_f(prob, xs, out=xs), prob.x_max, n_points)

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleConfig:
     """Fading variances (`var_hd`: one curve each, all on one draw), source
     power (dBW), budget grid, and sampling controls."""
@@ -112,7 +112,7 @@ class EnsembleConfig:
         object.__setattr__(self, "strategies", strategies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRecord:
     """One curve point: ensemble means and standard errors at a budget value."""
 

@@ -37,7 +37,7 @@ __all__ = ["SuiteResult", "run_all", "DEFAULT_SEED"]
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     name: str
     residuals: dict[str, float]

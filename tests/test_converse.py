@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,33 @@ class TestBlockedBoundObjective:
         one = bound_objective(CH, PARAMS, np.array([0.2]), phi)
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert one[0] == bound_objective(CH, PARAMS, 0.2, phi)
+
+    @pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 3])
+    def test_output_over_input_matches_fresh_output(self, monkeypatch, n):
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        phi = complex(0.3, -0.5)
+        xs = np.linspace(0.0, 3.0, n)
+        kept = xs.copy()
+        fresh = bound_objective(CH, PARAMS, xs, phi)
+        assert np.array_equal(xs, kept)  # out=None leaves the input alone
+        assert bound_objective(CH, PARAMS, xs, phi, out=xs) is xs
+        assert np.array_equal(xs, fresh)
+
+    def test_genie_grid_peak_below_two_grid_arrays(self):
+        # The grid's values are written over the grid: one full-size array
+        # plus a block's temporaries.
+        n = 200_001
+        pb = PowerBudget(1.0, 30.0)
+        params = derive_params(CH, pb)
+        expected = genie_upper_bound(CH, params, pb, n_points=n)
+        tracemalloc.start()
+        try:
+            got = genie_upper_bound(CH, params, pb, n_points=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 2 * 8 * n
 
     def test_scalar_equals_array_element(self):
         rng = np.random.default_rng(45)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,23 @@ class TestBlockedEvaluation:
         fractional._blockwise(double, xs[: self.BLOCK])
         fractional._blockwise(double, 0.5)
         assert sizes == [self.BLOCK, 1]
+        # Written over the input, block by block, and over a short input whole.
+        for n, blocks in ((2 * self.BLOCK + 3, [self.BLOCK, self.BLOCK, 3]), (5, [5])):
+            sizes.clear()
+            ys = xs[:n].copy()
+            assert fractional._blockwise(double, ys, out=ys) is ys
+            assert np.array_equal(ys, 2.0 * xs[:n])
+            assert sizes == blocks
+
+    @pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 3])
+    def test_output_over_input_matches_fresh_output(self, monkeypatch, n):
+        monkeypatch.setattr(fractional, "_BLOCK", self.BLOCK)
+        xs = np.linspace(0.0, PROB_WIDE.x_max, n)
+        kept = xs.copy()
+        fresh = eval_f(PROB_WIDE, xs)
+        assert np.array_equal(xs, kept)  # out=None leaves the input alone
+        assert eval_f(PROB_WIDE, xs, out=xs) is xs
+        assert np.array_equal(xs, fresh)
 
     def test_default_grid_matches_single_block(self, monkeypatch):
         xs = np.linspace(0.0, PROB_WIDE.x_max, 200_001)
@@ -108,6 +126,41 @@ class TestBlockedEvaluation:
         one = eval_f(PROB_WIDE, np.array([0.3]))
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert one[0] == eval_f(PROB_WIDE, 0.3)
+
+
+class TestGridPoint:
+    """The grid points `maximize_on_interval` brackets with, recomputed
+    without the grid array: those of `np.linspace`, bit for bit."""
+
+    N = 200_001
+
+    # At 5e-324 the step underflows to 0 and numpy scales k/(N-1) instead.
+    @pytest.mark.parametrize("x_max", [3.0, 1e-300, 5e-324, 1e308])
+    def test_matches_linspace(self, x_max):
+        grid = np.linspace(0.0, x_max, self.N)
+        for k in (0, 1, self.N // 2, self.N - 2, self.N - 1):
+            got = fractional._grid_point(x_max, self.N, k)
+            assert type(got) is float
+            assert got == grid[k] and math.copysign(1.0, got) == 1.0
+
+
+class TestGridMemory:
+    """A grid scan writes its values over the grid, so it holds one
+    full-size array plus a block's temporaries, not a grid and a value
+    array."""
+
+    def test_oracle_peak_below_two_grid_arrays(self):
+        n = 200_001
+        prob = RatioQuadraticProblem(4.0, 1.0, 2.0, 3.0)
+        expected = grid_oracle(prob, n)
+        tracemalloc.start()
+        try:
+            got = grid_oracle(prob, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 2 * 8 * n
 
 
 class TestEvalF_lambda:

@@ -9,7 +9,9 @@ formatting regardless of locale.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import operator
 import os
 import sys
 
@@ -28,7 +30,7 @@ from .channel import (
 from .converse import genie_upper_bound
 from .df import df_batch, df_secrecy_capacity
 from .fractional import RatioQuadraticProblem, lambda_hat_closed_form
-from .montecarlo import EnsembleConfig, ergodic_sweep
+from .montecarlo import EnsembleConfig, SweepRecord, ergodic_sweep
 from .verify import DEFAULT_SEED, run_all
 
 __all__ = ["main", "console_entry"]
@@ -106,14 +108,25 @@ def _parse_complex(text: str) -> complex:
     raise _UsageError(f"bad complex value {text!r}; expected RE or RE,IM")
 
 
+def _seed(text: str) -> int:
+    """A seed from `--seed`, the `seed` config key or SECRELAY_SEED: one
+    unsigned 64-bit integer, the range EnsembleConfig also checks."""
+    try:
+        if 0 <= (seed := int(text)) < 2**64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer from 0 to 2**64-1, got {text!r}")
+
+
 def _default_seed() -> int:
     env = os.environ.get(_SEED_ENV)
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
-    except ValueError as exc:
-        raise _UsageError(f"{_SEED_ENV} must be an integer, got {env!r}") from exc
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{_SEED_ENV} {exc}") from exc
 
 
 def _build_inputs(args) -> tuple[ChannelRealization, DerivedParams, PowerBudget]:
@@ -213,116 +226,84 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_MC_KEYS = {
-    "var_hr": float,
-    "var_hd": str,
-    "var_he": float,
-    "p_s_dbw": float,
-    "pr_start": float,
-    "pr_stop": float,
-    "pr_points": int,
-    "n_samples": int,
-    "seed": int,
-    "strategies": str,
-}
-
-_MC_DEFAULTS = {
-    "var_hr": 1.0,
-    "var_hd": "1,2,4,8",
-    "var_he": 1.0,
-    "p_s_dbw": 10.0,
-    "pr_start": 0.0,
-    "pr_stop": 20.0,
-    "pr_points": 41,
-    "n_samples": 100_000,
-    "seed": None,  # filled from --seed/env/default
-    "strategies": "af,df",
-}
+def _floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise _UsageError(f"bad var_hd list {text!r}") from exc
 
 
-def _parse_strategies(text: str) -> tuple[Strategy, ...]:
+def _strategies(text: str) -> tuple[Strategy, ...]:
     try:
         return tuple(Strategy(tok.strip()) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise _UsageError(f"bad strategies {text!r}; expected comma list of af,df") from exc
 
 
+# Each `montecarlo` setting, by its config key (also its argparse dest):
+# (flag, parser of a flag or config value, default, help). A flag beats the
+# config file, which beats the default; the seed's default is _default_seed().
+_MC_SETTINGS = {
+    "var_hr": ("--var-hr", float, 1.0, None),
+    "var_hd": ("--var-hd", _floats, (1.0, 2.0, 4.0, 8.0),
+               "comma list of variances, one curve each; curves x --pr-points "
+               f"at most {MAX_SWEEP_POINTS}"),
+    "var_he": ("--var-he", float, 1.0, None),
+    "p_s_dbw": ("--ps-dbw", float, 10.0, None),
+    "pr_start": ("--pr-start", float, 0.0, None),
+    "pr_stop": ("--pr-stop", float, 20.0, None),
+    "pr_points": ("--pr-points", int, 41, f"budgets per curve, at most {MAX_SWEEP_POINTS}"),
+    "n_samples": ("--n-samples", int, 100_000,
+                  f"samples per curve, at most {MAX_SAMPLES}; samples x curves x "
+                  f"--pr-points at most {MAX_SAMPLE_POINTS}"),
+    "seed": ("--seed", _seed, None, None),
+    "strategies": ("--strategies", _strategies, (Strategy.AF, Strategy.DF), None),
+}
+
+# One CSV row per record: SweepRecord's fields in declaration order, which
+# the header below names (`sigma2_hd` for `var_hd`).
+_record_row = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRecord)))
+
+
 def _cmd_montecarlo(args) -> int:
-    settings = dict(_MC_DEFAULTS)
+    settings = {key: default for key, (_, _, default, _) in _MC_SETTINGS.items()}
     if args.config is not None:
         for key, value in _parse_config_file(args.config).items():
-            if key not in _MC_KEYS:
+            if key not in _MC_SETTINGS:
                 raise _UsageError(f"unknown config key {key!r}")
             try:
-                settings[key] = _MC_KEYS[key](value)
-            except ValueError as exc:
+                settings[key] = _MC_SETTINGS[key][1](value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise _UsageError(f"bad value for {key!r}: {value!r}") from exc
-    for key in _MC_KEYS:
-        flag = getattr(args, key, None)
+    for key in _MC_SETTINGS:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     if settings["seed"] is None:
         settings["seed"] = _default_seed()
-    try:
-        var_hd_list = [float(tok) for tok in str(settings["var_hd"]).split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad var_hd list {settings['var_hd']!r}") from exc
+    curves = len(settings["var_hd"])
     if not 1 <= settings["pr_points"] <= MAX_SWEEP_POINTS:
         raise _UsageError(f"pr_points must be between 1 and {MAX_SWEEP_POINTS}")
-    if len(var_hd_list) * settings["pr_points"] > MAX_SWEEP_POINTS:
-        raise _UsageError(f"{len(var_hd_list)} var_hd curves x {settings['pr_points']} pr_points "
+    if curves * settings["pr_points"] > MAX_SWEEP_POINTS:
+        raise _UsageError(f"{curves} var_hd curves x {settings['pr_points']} pr_points "
                           f"exceed {MAX_SWEEP_POINTS} budget points per run")
     if settings["n_samples"] > MAX_SAMPLES:
         raise _UsageError(f"n_samples must be at most {MAX_SAMPLES}")
-    if settings["n_samples"] * len(var_hd_list) * settings["pr_points"] > MAX_SAMPLE_POINTS:
-        raise _UsageError(f"{settings['n_samples']} n_samples x {len(var_hd_list)} var_hd curves x "
+    if settings["n_samples"] * curves * settings["pr_points"] > MAX_SAMPLE_POINTS:
+        raise _UsageError(f"{settings['n_samples']} n_samples x {curves} var_hd curves x "
                           f"{settings['pr_points']} pr_points exceed {MAX_SAMPLE_POINTS}")
     for key in ("pr_start", "pr_stop"):
         # Checked before np.linspace, which warns on a span that overflows.
         if not (math.isfinite(settings[key]) and settings[key] >= 0):
             raise _UsageError(f"{key} must be finite and nonnegative, got {settings[key]!r}")
-    grid = tuple(np.linspace(settings["pr_start"], settings["pr_stop"], settings["pr_points"]))
-    strategies = _parse_strategies(str(settings["strategies"]))
-    cfg = EnsembleConfig(
-        var_hr=settings["var_hr"],
-        var_hd=tuple(var_hd_list),
-        var_he=settings["var_he"],
-        p_s_dbw=settings["p_s_dbw"],
-        p_r_grid=grid,
-        n_samples=settings["n_samples"],
-        seed=settings["seed"],
-        strategies=strategies,
-    )
-    rows = []
-    for rec in ergodic_sweep(cfg):
-        if args.pr_axis == "db":
-            p_col = 10.0 * math.log10(rec.p_r) if rec.p_r > 0 else -math.inf
-        else:
-            p_col = rec.p_r
-        rows.append(
-            [
-                rec.strategy,
-                rec.var_hd,
-                p_col,
-                rec.mean_capacity,
-                rec.stderr_capacity,
-                rec.mean_consumed_power,
-                rec.stderr_consumed_power,
-                rec.n_samples,
-                rec.seed,
-            ]
-        )
-    header = [
-        "strategy",
-        "sigma2_hd",
-        "p_r",
-        "mean_capacity",
-        "stderr_capacity",
-        "mean_consumed_power",
-        "stderr_consumed_power",
-        "n_samples",
-        "seed",
-    ]
+    grid = np.linspace(*(settings.pop(key) for key in ("pr_start", "pr_stop", "pr_points")))
+    cfg = EnsembleConfig(p_r_grid=tuple(grid), **settings)
+    rows = [list(_record_row(rec)) for rec in ergodic_sweep(cfg)]
+    if args.pr_axis == "db":
+        for row in rows:
+            row[2] = 10.0 * math.log10(row[2]) if row[2] > 0 else -math.inf
+    header = ["strategy", "sigma2_hd", "p_r", "mean_capacity", "stderr_capacity",
+              "mean_consumed_power", "stderr_consumed_power", "n_samples", "seed"]
     _write_text(args.out, _csv(header, rows))
     return EXIT_OK
 
@@ -375,21 +356,8 @@ def _build_parser() -> _Parser:
 
     mc = sub.add_parser("montecarlo", help="ergodic sweeps over Rayleigh fading")
     mc.add_argument("--config", help="key=value config file ('#' comments)")
-    mc.add_argument("--var-hr", dest="var_hr", type=float)
-    mc.add_argument("--var-hd", dest="var_hd",
-                    help="comma list of variances, one curve each; curves x --pr-points "
-                         f"at most {MAX_SWEEP_POINTS}")
-    mc.add_argument("--var-he", dest="var_he", type=float)
-    mc.add_argument("--ps-dbw", dest="p_s_dbw", type=float)
-    mc.add_argument("--pr-start", dest="pr_start", type=float)
-    mc.add_argument("--pr-stop", dest="pr_stop", type=float)
-    mc.add_argument("--pr-points", dest="pr_points", type=int,
-                    help=f"budgets per curve, at most {MAX_SWEEP_POINTS}")
-    mc.add_argument("--n-samples", dest="n_samples", type=int,
-                    help=f"samples per curve, at most {MAX_SAMPLES}; samples x curves x "
-                         f"--pr-points at most {MAX_SAMPLE_POINTS}")
-    mc.add_argument("--seed", dest="seed", type=int)
-    mc.add_argument("--strategies", dest="strategies")
+    for key, (flag, parse, _, help_text) in _MC_SETTINGS.items():
+        mc.add_argument(flag, dest=key, type=parse, help=help_text)
     mc.add_argument("--pr-axis", choices=["w", "db"], default="w",
                     help="emit the budget column in watts or dBW")
     mc.add_argument("--out", help="output path (default stdout)")
@@ -397,7 +365,7 @@ def _build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run the oracle/invariant suites")
     verify.add_argument("--draws", type=int, default=1000, help=f"at most {MAX_VERIFY_DRAWS}")
-    verify.add_argument("--seed", type=int)
+    verify.add_argument("--seed", type=_seed)
     verify.add_argument("--out", help="output path (default stdout)")
     verify.set_defaults(func=_cmd_verify)
 

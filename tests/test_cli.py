@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import secrelay
 from secrelay import cli, verify
 from secrelay.cli import main
+from secrelay.montecarlo import SweepRecord
 from secrelay.verify import SuiteResult, solver_consistency
 
 MC_SMALL = [
@@ -458,6 +460,82 @@ class TestMonteCarlo:
         assert code == 0
         top = out.strip().split("\n")[-1].split(",")
         assert float(top[2]) == pytest.approx(10.0 * math.log10(4.0), rel=1e-12)
+
+    # One value per setting that differs from both MC_TABLE_BASE and the default.
+    MC_TABLE_VALUES = {
+        "var_hr": "1.5", "var_hd": "1,3", "var_he": "0.5", "p_s_dbw": "7",
+        "pr_start": "0.5", "pr_stop": "3", "pr_points": "2", "n_samples": "300",
+        "seed": "5", "strategies": "df",
+    }
+    MC_TABLE_BASE = {"var_hd": "1", "pr_stop": "4", "pr_points": "3", "n_samples": "200",
+                     "seed": "11"}
+
+    def test_each_setting_reads_the_same_as_flag_and_config_key(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SECRELAY_SEED", raising=False)
+        assert list(self.MC_TABLE_VALUES) == list(cli._MC_SETTINGS)
+        for key, value in self.MC_TABLE_VALUES.items():
+            flag = cli._MC_SETTINGS[key][0]
+            base = ["montecarlo"]
+            for other, v in self.MC_TABLE_BASE.items():
+                if other != key:
+                    base += [cli._MC_SETTINGS[other][0], v]
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            outs = {}
+            for name, extra in (("base", []), ("flag", [flag, value]),
+                                ("config", ["--config", str(cfg)])):
+                outs[name] = tmp_path / f"{key}_{name}.csv"
+                assert main(base + extra + ["--out", str(outs[name])]) == 0, (key, name)
+            assert outs["flag"].read_bytes() == outs["config"].read_bytes(), key
+            assert outs["flag"].read_bytes() != outs["base"].read_bytes(), key
+
+    def test_csv_header_names_the_sweep_record_fields(self, tmp_path):
+        # Each row is the record's fields in declaration order.
+        out = tmp_path / "mc.csv"
+        assert main(MC_SMALL + ["--out", str(out)]) == 0
+        header = out.read_text().split("\n", 1)[0].split(",")
+        names = [f.name for f in dataclasses.fields(SweepRecord)]
+        assert header == ["sigma2_hd" if name == "var_hd" else name for name in names]
+
+
+class TestSeed:
+    """One rule for --seed, the seed config key and SECRELAY_SEED."""
+
+    COMMANDS = {"verify": ["verify", "--draws", "1"],
+                "montecarlo": [a for a in MC_SMALL if a not in ("--seed", "11")]}
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+    @pytest.mark.parametrize("command", ["verify", "montecarlo"])
+    def test_bad_flag_seed_usage_error(self, capsys, monkeypatch, command, seed):
+        monkeypatch.delenv("SECRELAY_SEED", raising=False)
+        code, out, err = run(capsys, *self.COMMANDS[command], "--seed", seed)
+        assert code == 1 and out == ""
+        assert err == f"error: argument --seed: must be an integer from 0 to 2**64-1, got {seed!r}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+    @pytest.mark.parametrize("command", ["verify", "montecarlo"])
+    def test_bad_env_seed_usage_error(self, capsys, monkeypatch, command, seed):
+        monkeypatch.setenv("SECRELAY_SEED", seed)
+        code, out, err = run(capsys, *self.COMMANDS[command])
+        assert code == 1 and out == ""
+        assert err == f"error: SECRELAY_SEED must be an integer from 0 to 2**64-1, got {seed!r}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_config_seed_usage_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        code, out, err = run(capsys, *self.COMMANDS["montecarlo"], "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: bad value for 'seed': {seed!r}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "montecarlo"])
+    def test_seed_limit_is_inclusive(self, capsys, monkeypatch, command):
+        top = str(2**64 - 1)
+        monkeypatch.setenv("SECRELAY_SEED", top)
+        code, out, _ = run(capsys, *self.COMMANDS[command])
+        assert code == 0
+        code, flag_out, _ = run(capsys, *self.COMMANDS[command], "--seed", top)
+        assert code == 0 and flag_out == out and top in out
 
 
 class TestVerify:

@@ -13,9 +13,12 @@ parametric route: search for lambda with
 that root is the optimal ratio value and the inner argmax is the optimal
 gain. For alpha > beta and mu > 1 the root is bracketed in
 [1, n1/d1), the auxiliary quadratic F(x, lambda) is concave in x there, and
-pi is continuous and strictly decreasing, which yields a safe bisection
-(`lambda_hat_bisection`). The closed form (`lambda_hat_closed_form`) is f at
-the maximizer min(x_max, 1/sqrt(a)), the point where the bisection lands.
+pi -- F at its constrained maximizer x(lambda) -- is continuous and
+strictly decreasing, which yields a safe bisection
+(`lambda_hat_bisection`). Its Newton polish on pi lands on f(x(lambda)),
+Dinkelbach's update, since pi'(lambda) = -den(x(lambda)). The closed form
+(`lambda_hat_closed_form`) is f at the maximizer min(x_max, 1/sqrt(a)),
+the point where the bisection lands.
 `grid_oracle` is an intentionally brute-force cross-check: a dense grid scan
 refined by golden-section search, independent of the parametric machinery.
 """
@@ -23,7 +26,7 @@ refined by golden-section search, independent of the parametric machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,6 +53,10 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # each, then stay in a 2 MiB per-core L2 cache.
 _BLOCK = 1 << 15
 
+# Width of the lambda interval at which `lambda_hat_bisection` stops
+# bisecting and starts its Newton polish.
+_BISECTION_TOL = 1e-12
+
 
 @dataclass(frozen=True, slots=True)
 class RatioQuadraticProblem:
@@ -59,6 +66,11 @@ class RatioQuadraticProblem:
     beta: float
     mu: float
     x_max: float
+    # Shared quadratic coefficient, and the numerator's and denominator's
+    # linear coefficients, formed once from the four fields above.
+    quad: float = field(init=False, repr=False, compare=False)
+    num_lin: float = field(init=False, repr=False, compare=False)
+    den_lin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "mu", "x_max"):
@@ -71,21 +83,9 @@ class RatioQuadraticProblem:
             raise ValueError("mu must be at least 1")
         if self.x_max < 0:
             raise ValueError("x_max must be nonnegative")
-
-    @property
-    def quad(self) -> float:
-        """Shared quadratic coefficient of numerator and denominator."""
-        return self.alpha * self.beta * self.mu
-
-    @property
-    def num_lin(self) -> float:
-        """Linear coefficient of the numerator."""
-        return self.alpha * self.mu + self.beta
-
-    @property
-    def den_lin(self) -> float:
-        """Linear coefficient of the denominator."""
-        return self.alpha + self.beta * self.mu
+        object.__setattr__(self, "quad", self.alpha * self.beta * self.mu)
+        object.__setattr__(self, "num_lin", self.alpha * self.mu + self.beta)
+        object.__setattr__(self, "den_lin", self.alpha + self.beta * self.mu)
 
 
 class SolverBranch(Enum):
@@ -166,43 +166,25 @@ def _check_lambda(prob: RatioQuadraticProblem, lam: float) -> None:
         )
 
 
-def _endpoint_threshold(prob: RatioQuadraticProblem) -> float:
-    a, x = prob.quad, prob.x_max
-    return (2.0 * a * x + prob.num_lin) / (2.0 * a * x + prob.den_lin)
-
-
 def x_of_lambda(prob: RatioQuadraticProblem, lam: float) -> float:
     """Maximizer of F(., lambda) over [0, x_max].
 
     F is concave in x on the bracket; its unconstrained peak moves from
     beyond x_max down to 0 as lambda sweeps the bracket, so the constrained
-    maximizer is x_max up to a threshold and the interior stationary point
-    after it.
+    maximizer is x_max up to a threshold (where dF/dx at x_max is 0) and
+    the interior stationary point after it.
     """
     _check_lambda(prob, lam)
-    if lam <= _endpoint_threshold(prob):
-        return prob.x_max
-    x_tilde = (lam * prob.den_lin - prob.num_lin) / (2.0 * prob.quad * (1.0 - lam))
-    return min(max(x_tilde, 0.0), prob.x_max)
+    a, x = prob.quad, prob.x_max
+    if lam <= (2.0 * a * x + prob.num_lin) / (2.0 * a * x + prob.den_lin):
+        return x
+    x_tilde = (lam * prob.den_lin - prob.num_lin) / (2.0 * a * (1.0 - lam))
+    return min(max(x_tilde, 0.0), x)
 
 
 def pi_of_lambda(prob: RatioQuadraticProblem, lam: float) -> float:
-    """F evaluated at its constrained maximizer, as an explicit function of lambda."""
-    _check_lambda(prob, lam)
-    a, x = prob.quad, prob.x_max
-    if lam <= _endpoint_threshold(prob):
-        return (-a * x * x - prob.den_lin * x - 1.0) * lam + a * x * x + prob.num_lin * x + 1.0
-    t = lam * prob.den_lin - prob.num_lin
-    return t * t / (4.0 * a * (lam - 1.0)) - lam + 1.0
-
-
-def _pi_derivative(prob: RatioQuadraticProblem, lam: float) -> float:
-    a, x = prob.quad, prob.x_max
-    if lam <= _endpoint_threshold(prob):
-        return -(a * x * x + prob.den_lin * x + 1.0)
-    t = lam * prob.den_lin - prob.num_lin
-    u = lam - 1.0
-    return (2.0 * prob.den_lin * t * u - t * t) / (4.0 * a * u * u) - 1.0
+    """pi(lambda): F(., lambda) at its constrained maximizer x(lambda)."""
+    return eval_F(prob, x_of_lambda(prob, lam), lam)
 
 
 def _is_degenerate(prob: RatioQuadraticProblem) -> bool:
@@ -229,28 +211,33 @@ def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
     return LambdaSolution(eval_f(prob, x_crit), x_crit, SolverBranch.INTERIOR)
 
 
-def lambda_hat_bisection(prob: RatioQuadraticProblem, tol: float = 1e-12) -> LambdaSolution:
+def lambda_hat_bisection(prob: RatioQuadraticProblem) -> LambdaSolution:
     """Bisection on pi over the bracket, finished with a few Newton steps.
 
     pi is strictly decreasing with a sign change across the bracket, so the
-    root is unique. The Newton polish pushes the residual |pi(lambda)| down
+    root is unique; bisection narrows it to `_BISECTION_TOL` from the sign
+    of pi alone. By the envelope theorem pi'(lambda) = -den(x(lambda)), so
+    Newton's step lambda - pi/pi' lands on num/den = f(x(lambda)),
+    Dinkelbach's update. That polish pushes the residual |pi(lambda)| down
     to rounding level even when the pi coefficients are large, where a bare
     1e-12 interval on lambda would not.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    lo, hi = 1.0, _bracket_upper(prob)
+    upper = _bracket_upper(prob)
+    lo, hi = 1.0, upper
     f_lo = pi_of_lambda(prob, lo)
     f_hi = pi_of_lambda(prob, hi)
-    if not (f_lo > 0.0 and f_hi < 0.0):
+    # A bracket already within tolerance is not bisected, so it needs no sign
+    # change: with mu within a few ulps of 1, n1/d1 rounds to 1 or just above
+    # it, and pi at both ends is rounding noise.
+    if hi - lo > _BISECTION_TOL and not (f_lo > 0.0 and f_hi < 0.0):
         raise RuntimeError(
             "pi does not change sign across the bracket; "
             f"pi({lo})={f_lo!r}, pi({hi})={f_hi!r}"
         )
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if pi_of_lambda(prob, mid) > 0.0:
@@ -258,17 +245,13 @@ def lambda_hat_bisection(prob: RatioQuadraticProblem, tol: float = 1e-12) -> Lam
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    upper = _bracket_upper(prob)
     for _ in range(3):
-        d = _pi_derivative(prob, lam)
-        if d == 0.0:
-            break
-        nxt = lam - pi_of_lambda(prob, lam) / d
+        nxt = eval_f(prob, x_of_lambda(prob, lam))
         if not (1.0 <= nxt <= upper):
             break
         lam = nxt
     x_hat = x_of_lambda(prob, lam)
-    branch = SolverBranch.ENDPOINT if lam <= _endpoint_threshold(prob) else SolverBranch.INTERIOR
+    branch = SolverBranch.ENDPOINT if x_hat == prob.x_max else SolverBranch.INTERIOR
     return LambdaSolution(lam, x_hat, branch)
 
 

@@ -61,6 +61,16 @@ class SuiteResult:
         return "; ".join(parts)
 
 
+def _worst(*residuals: float) -> float:
+    """Largest residual, or NaN if any is NaN.
+
+    Every suite keeps its running worst case with this: the builtin `max`
+    keeps its first argument when a comparison with NaN is False, so a NaN
+    residual would vanish and its suite could pass having checked nothing.
+    """
+    return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
+
+
 def draw_parameters(rng: np.random.Generator, n: int):
     """Random (alpha, beta, mu, p_r) draws covering both capacity regimes."""
     alpha = rng.exponential(1.0, n)
@@ -82,8 +92,8 @@ def solver_vs_oracle(draws: int, rng: np.random.Generator,
         res = af_secrecy_capacity(params, pb)
         x_max = p / m
         x_star, f_star = grid_oracle(RatioQuadraticProblem(a, b, m, x_max), n_points)
-        worst_cap = max(worst_cap, abs(res.capacity - 0.5 * math.log2(f_star)))
-        worst_x = max(worst_x, abs(res.x_hat - x_star) / max(1.0, x_max))
+        worst_cap = _worst(worst_cap, abs(res.capacity - 0.5 * math.log2(f_star)))
+        worst_x = _worst(worst_x, abs(res.x_hat - x_star) / max(1.0, x_max))
     return SuiteResult(
         "solver_vs_oracle",
         {"capacity_gap": worst_cap, "argmax_gap": worst_x},
@@ -108,10 +118,10 @@ def solver_consistency(draws: int, rng: np.random.Generator) -> SuiteResult:
         upper = prob.num_lin / prob.den_lin
         closed, bisected = lambda_hat_closed_form(prob), lambda_hat_bisection(prob)
         for sol in (closed, bisected):
-            bracket_excess = max(bracket_excess, 1.0 - sol.lambda_hat, sol.lambda_hat - upper)
-            pi_res = max(pi_res, abs(pi_of_lambda(prob, sol.lambda_hat)))
-            ratio_gap = max(ratio_gap, abs(eval_f(prob, sol.x_hat) - sol.lambda_hat))
-        agreement = max(agreement, abs(closed.lambda_hat - bisected.lambda_hat))
+            bracket_excess = _worst(bracket_excess, 1.0 - sol.lambda_hat, sol.lambda_hat - upper)
+            pi_res = _worst(pi_res, abs(pi_of_lambda(prob, sol.lambda_hat)))
+            ratio_gap = _worst(ratio_gap, abs(eval_f(prob, sol.x_hat) - sol.lambda_hat))
+        agreement = _worst(agreement, abs(closed.lambda_hat - bisected.lambda_hat))
     return SuiteResult(
         "solver_consistency",
         {
@@ -144,8 +154,8 @@ def converse_tightness(draws: int, rng: np.random.Generator,
         bound = genie_upper_bound(ch, params, pb, n_points=n_points)
         cap = af_secrecy_capacity(params, pb).capacity
         if a <= b:
-            zero_case = max(zero_case, abs(bound.bound_value))
-        tight = max(tight, abs(bound.bound_value - cap))
+            zero_case = _worst(zero_case, abs(bound.bound_value))
+        tight = _worst(tight, abs(bound.bound_value - cap))
         x_max = p / m
         xs = rng.uniform(0.0, x_max, pairs_per_draw) if x_max > 0 else np.zeros(pairs_per_draw)
         radii = rng.uniform(0.0, 0.999, pairs_per_draw)
@@ -155,7 +165,7 @@ def converse_tightness(draws: int, rng: np.random.Generator,
             gap = af_achievable_rate_at(params, pb, float(x)) - bound_objective(
                 ch, params, float(x), phi
             )
-            dominance = max(dominance, gap)
+            dominance = _worst(dominance, gap)
     return SuiteResult(
         "converse_tightness",
         {"tightness": tight, "zero_case": zero_case, "dominance_violation": dominance},
@@ -176,7 +186,7 @@ def ratio_identity(draws: int, rng: np.random.Generator) -> SuiteResult:
         x = rng.uniform(0.0, 10.0)
         params = DerivedParams(a, b, m)
         lhs = (1.0 + a * m * x) / (1.0 + a * x)
-        worst = max(worst, gain_ratio_identity_residual(params, x) / abs(lhs))
+        worst = _worst(worst, gain_ratio_identity_residual(params, x) / abs(lhs))
         count += 1
     return SuiteResult(
         "ratio_identity", {"relative_residual": worst}, {"relative_residual": 1e-12}, count
@@ -194,12 +204,12 @@ def df_properties(draws: int, rng: np.random.Generator) -> SuiteResult:
         pb = PowerBudget(1.0, p)
         df = df_secrecy_capacity(params, pb)
         expected = 0.5 * min(source_relay_capacity(params), second_hop_secrecy_capacity(params, pb))
-        min_cut = max(min_cut, abs(df.capacity - expected))
+        min_cut = _worst(min_cut, abs(df.capacity - expected))
         if a > b and (1.0 + a * p) / (1.0 + b * p) > m:
             balanced = math.log2((1.0 + a * df.x_hat) / (1.0 + b * df.x_hat))
-            power_saving = max(power_saving, abs(balanced - math.log2(m)))
+            power_saving = _worst(power_saving, abs(balanced - math.log2(m)))
         af = af_secrecy_capacity(params, pb)
-        dominance = max(dominance, af.capacity - df.capacity)
+        dominance = _worst(dominance, af.capacity - df.capacity)
     return SuiteResult(
         "df_properties",
         {"min_cut_gap": min_cut, "power_saving_gap": power_saving, "af_exceeds_df": dominance},

@@ -574,6 +574,33 @@ class TestVerify:
         assert "FAIL  df_properties" in out
         assert "RESULT: FAIL (4/5 suites)" in out
 
+    @staticmethod
+    def _nan_capacity(monkeypatch):
+        real = verify.af_secrecy_capacity
+        monkeypatch.setattr(verify, "af_secrecy_capacity", lambda params, pb: dataclasses.replace(
+            real(params, pb), capacity=math.nan))
+
+    def test_nan_capacity_fails_oracle_suite(self, monkeypatch):
+        # The builtin max(worst, nan) keeps worst, so a NaN residual could vanish.
+        self._nan_capacity(monkeypatch)
+        res = verify.solver_vs_oracle(5, np.random.default_rng(3), n_points=1001)
+        assert not res.passed
+        assert "capacity_gap=nan" in res.summary()
+
+    def test_nan_pi_fails_consistency_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "pi_of_lambda", lambda prob, lam: math.nan)
+        res = solver_consistency(5, np.random.default_rng(3))
+        assert res.evaluated > 0
+        assert not res.passed
+        assert "pi_residual=nan" in res.summary()
+
+    def test_nan_capacity_fails_verify_command(self, capsys, monkeypatch):
+        self._nan_capacity(monkeypatch)
+        code, out, _ = run(capsys, "verify", "--draws", "3", "--seed", "3")
+        assert code == 2
+        assert "FAIL  solver_vs_oracle" in out and "nan" in out
+        assert "RESULT: FAIL" in out
+
     def test_draw_limit_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_VERIFY_DRAWS", 5)
         code, out, _ = run(capsys, "verify", "--draws", "5", "--seed", "3")

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from secrelay import fractional
 from secrelay.fractional import (
@@ -228,14 +231,23 @@ class TestPiOfLambda:
         assert abs(pi_of_lambda(PROB_SMALL, 1.25)) <= 1e-15
         assert lambda_hat_bisection(PROB_SMALL).lambda_hat == pytest.approx(1.25, abs=1e-12)
 
-    def test_matches_direct_F_evaluation(self):
+    def test_matches_expanded_branch_formulas(self):
+        # Reference: pi written out per branch. Up to the threshold where
+        # dF/dx at x_max is 0, x_max maximizes F and pi is affine in lambda;
+        # past it the interior stationary point does, and pi = t^2/(4a(lambda-1))
+        # - lambda + 1 with t = lambda*d1 - n1.
         rng = np.random.default_rng(12)
         for _ in range(N_DRAWS):
             prob = random_problem(rng)
             lam = rng.uniform(1.0, bracket_upper(prob))
-            direct = eval_F(prob, x_of_lambda(prob, lam), lam)
+            a, x, n1, d1 = prob.quad, prob.x_max, prob.num_lin, prob.den_lin
+            if lam <= (2.0 * a * x + n1) / (2.0 * a * x + d1):
+                expected = (-a * x * x - d1 * x - 1.0) * lam + a * x * x + n1 * x + 1.0
+            else:
+                t = lam * d1 - n1
+                expected = t * t / (4.0 * a * (lam - 1.0)) - lam + 1.0
             scale = 1.0 + prob.quad * prob.x_max**2 + prob.num_lin * prob.x_max
-            assert pi_of_lambda(prob, lam) == pytest.approx(direct, abs=1e-12 * scale)
+            assert pi_of_lambda(prob, lam) == pytest.approx(expected, abs=1e-12 * scale)
 
     def test_sign_structure(self):
         # pi(1) = (alpha - beta)*(mu - 1)*x_max exactly; positive on one end of
@@ -279,7 +291,7 @@ class TestSolvers:
     def test_bisection_matches_closed_form_on_examples(self):
         for prob in (PROB_SMALL, PROB_WIDE):
             a = lambda_hat_closed_form(prob)
-            b = lambda_hat_bisection(prob, tol=1e-12)
+            b = lambda_hat_bisection(prob)
             assert abs(a.lambda_hat - b.lambda_hat) <= 1e-12
 
     def test_branch_boundary_continuity_on_example(self):
@@ -315,10 +327,6 @@ class TestSolvers:
         x_star, f_star = grid_oracle(prob, 100_001)
         assert sol.lambda_hat == pytest.approx(f_star, abs=1e-9)
         assert sol.x_hat == pytest.approx(x_star, abs=1e-6)
-
-    def test_bisection_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            lambda_hat_bisection(PROB_SMALL, tol=0.0)
 
     def test_interior_root_equals_reduced_ratio(self):
         # The interior root collapses to (n1 + 2*sqrt(a)) / (d1 + 2*sqrt(a)),
@@ -367,6 +375,37 @@ class TestSolverProperties:
             root = 2.0 * math.sqrt(a)
             lam2 = (prob.num_lin + root) / (prob.den_lin + root)
             assert abs(lam1 - lam2) <= 1e-9
+
+
+class TestBisectionRange:
+    """The bisection at budgets where a*x_max^2 overflows, and with mu within
+    a few ulps of 1, where n1/d1 rounds to 1 or to the next float."""
+
+    @staticmethod
+    def check(prob):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bisected = lambda_hat_bisection(prob)
+        assert bisected.lambda_hat == pytest.approx(lambda_hat_closed_form(prob).lambda_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        (4.0, 1.0, 2.0, 5e199),
+        (7.0, 6.0, 1.0 + 2.0**-52, 1.0),  # n1 == d1: the bracket is a point
+        (20.411317735881653, 2.0236876656051463, 1.0 + 2.0**-51, 3.1e135),  # pi(n1/d1) > 0
+    ])
+    def test_witness_matches_closed_form(self, case):
+        self.check(RatioQuadraticProblem(*case))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        st.floats(1e-3, 50.0),
+        st.floats(1e-3, 50.0),
+        st.floats(1.0, 20.0),
+        st.floats(-10.0, 300.0),
+    )
+    def test_bisection_matches_closed_form_at_any_budget(self, alpha, beta, mu, log10_p_r):
+        assume(alpha > beta)
+        self.check(RatioQuadraticProblem(alpha, beta, mu, 10.0**log10_p_r / mu))
 
 
 class TestGridOracle:

@@ -15,10 +15,9 @@ gain. For alpha > beta and mu > 1 the root is bracketed in
 [1, n1/d1), the auxiliary quadratic F(x, lambda) is concave in x there, and
 pi -- F at its constrained maximizer x(lambda) -- is continuous and
 strictly decreasing, which yields a safe bisection
-(`lambda_hat_bisection`). Its Newton polish on pi lands on f(x(lambda)),
-Dinkelbach's update, since pi'(lambda) = -den(x(lambda)). The closed form
-(`lambda_hat_closed_form`) is f at the maximizer min(x_max, 1/sqrt(a)),
-the point where the bisection lands.
+(`lambda_hat_bisection`), run until its two ends are adjacent floats. The
+closed form (`lambda_hat_closed_form`) is f at the maximizer
+min(x_max, 1/sqrt(a)), the point where the bisection lands.
 `grid_oracle` is an intentionally brute-force cross-check: a dense grid scan
 refined by golden-section search, independent of the parametric machinery.
 """
@@ -53,9 +52,10 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # each, then stay in a 2 MiB per-core L2 cache.
 _BLOCK = 1 << 15
 
-# Width of the lambda interval at which `lambda_hat_bisection` stops
-# bisecting and starts its Newton polish.
-_BISECTION_TOL = 1e-12
+# A root bracket no wider than this needs no sign change of pi: with mu
+# within a few ulps of 1, n1/d1 rounds to 1 or just above it, and pi at
+# both ends is rounding noise.
+_NARROW_BRACKET = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +73,12 @@ class RatioQuadraticProblem:
     den_lin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Python floats, so that numpy scalars overflow to inf with no warning.
         for name in ("alpha", "beta", "mu", "x_max"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if self.mu < 1:
@@ -176,7 +178,8 @@ def x_of_lambda(prob: RatioQuadraticProblem, lam: float) -> float:
     """
     _check_lambda(prob, lam)
     a, x = prob.quad, prob.x_max
-    if lam <= (2.0 * a * x + prob.num_lin) / (2.0 * a * x + prob.den_lin):
+    # F rises at lambda = 1; where 2*a*x overflows the threshold is nan.
+    if lam <= 1.0 or lam <= (2.0 * a * x + prob.num_lin) / (2.0 * a * x + prob.den_lin):
         return x
     x_tilde = (lam * prob.den_lin - prob.num_lin) / (2.0 * a * (1.0 - lam))
     return min(max(x_tilde, 0.0), x)
@@ -212,47 +215,33 @@ def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
 
 
 def lambda_hat_bisection(prob: RatioQuadraticProblem) -> LambdaSolution:
-    """Bisection on pi over the bracket, finished with a few Newton steps.
+    """Bisection on pi over the bracket, down to adjacent floats.
 
     pi is strictly decreasing with a sign change across the bracket, so the
-    root is unique; bisection narrows it to `_BISECTION_TOL` from the sign
-    of pi alone. By the envelope theorem pi'(lambda) = -den(x(lambda)), so
-    Newton's step lambda - pi/pi' lands on num/den = f(x(lambda)),
-    Dinkelbach's update. That polish pushes the residual |pi(lambda)| down
-    to rounding level even when the pi coefficients are large, where a bare
-    1e-12 interval on lambda would not.
+    root is unique; bisection keeps pi(lo) > 0 >= pi(hi) from the sign of
+    pi alone and stops when no float lies strictly between lo and hi. It
+    returns lo, the last lambda where pi > 0: within one ulp of the root,
+    so |pi(lambda_hat)| is about den(x)*ulp at most.
     """
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    upper = _bracket_upper(prob)
-    lo, hi = 1.0, upper
+    lo, hi = 1.0, _bracket_upper(prob)
     f_lo = pi_of_lambda(prob, lo)
     f_hi = pi_of_lambda(prob, hi)
-    # A bracket already within tolerance is not bisected, so it needs no sign
-    # change: with mu within a few ulps of 1, n1/d1 rounds to 1 or just above
-    # it, and pi at both ends is rounding noise.
-    if hi - lo > _BISECTION_TOL and not (f_lo > 0.0 and f_hi < 0.0):
+    if hi - lo > _NARROW_BRACKET and not (f_lo > 0.0 and f_hi < 0.0):
         raise RuntimeError(
             "pi does not change sign across the bracket; "
             f"pi({lo})={f_lo!r}, pi({hi})={f_hi!r}"
         )
-    for _ in range(200):
-        if hi - lo <= _BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
+    # The midpoint rounds to an end only when no float lies between them.
+    while (mid := lo + 0.5 * (hi - lo)) != lo and mid != hi:
         if pi_of_lambda(prob, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    for _ in range(3):
-        nxt = eval_f(prob, x_of_lambda(prob, lam))
-        if not (1.0 <= nxt <= upper):
-            break
-        lam = nxt
-    x_hat = x_of_lambda(prob, lam)
+    x_hat = x_of_lambda(prob, lo)
     branch = SolverBranch.ENDPOINT if x_hat == prob.x_max else SolverBranch.INTERIOR
-    return LambdaSolution(lam, x_hat, branch)
+    return LambdaSolution(lo, x_hat, branch)
 
 
 def _grid_point(x_max: float, n: int, k: int) -> float:

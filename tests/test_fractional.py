@@ -32,6 +32,11 @@ PROB_WIDE = RatioQuadraticProblem(4.0, 1.0, 2.0, 1.0)
 
 N_DRAWS = 300
 
+# Bisection witnesses with huge coefficients, as (alpha, beta, mu, p_r/mu).
+MU_TOP = 4.0637796884638095e+70
+MU_INF = 9.182955741725557e+39
+WITNESS_INF = (1.497376988830621e+129, 2.507497317682244e+82, MU_INF, 1.461411446535263e+106 / MU_INF)
+
 
 def random_problem(rng, positive_rate=True):
     while True:
@@ -183,6 +188,12 @@ class TestEvalF_lambda:
 class TestXOfLambda:
     def test_lambda_one_returns_endpoint(self):
         assert x_of_lambda(PROB_WIDE, 1.0) == PROB_WIDE.x_max
+
+    def test_lambda_one_returns_endpoint_where_threshold_overflows(self):
+        # 2*a*x_max is inf, so the threshold quotient is inf/inf = nan.
+        prob = RatioQuadraticProblem(1e200, 1e100, 2.0, 1e10)
+        assert x_of_lambda(prob, 1.0) == prob.x_max
+        assert pi_of_lambda(prob, 1.0) == pytest.approx(1e210, rel=1e-12)
 
     def test_interior_point_matches_dense_scan(self):
         # Oracle: argmax of F(., 1.4) on a dense grid over [0, 1].
@@ -387,11 +398,19 @@ class TestBisectionRange:
             warnings.simplefilter("error")
             bisected = lambda_hat_bisection(prob)
         assert bisected.lambda_hat == pytest.approx(lambda_hat_closed_form(prob).lambda_hat, rel=1e-12)
+        return bisected
 
     @pytest.mark.parametrize("case", [
         (4.0, 1.0, 2.0, 5e199),
         (7.0, 6.0, 1.0 + 2.0**-52, 1.0),  # n1 == d1: the bracket is a point
         (20.411317735881653, 2.0236876656051463, 1.0 + 2.0**-51, 3.1e135),  # pi(n1/d1) > 0
+        # The root rounds to the bracket's top n1/d1, where x(lambda) = 0:
+        # a Newton (Dinkelbach) step from there lands on f(0) = 1.
+        (1.1203501894730687e+99, 1.2095338230605243e-43, MU_TOP, 3.761755023876066e+143 / MU_TOP),
+        # 2*a*x_max overflows, so x(1) must not go through the threshold;
+        # as Python floats and as numpy scalars, whose overflow would warn.
+        WITNESS_INF,
+        tuple(np.array(WITNESS_INF)),
     ])
     def test_witness_matches_closed_form(self, case):
         self.check(RatioQuadraticProblem(*case))
@@ -405,7 +424,11 @@ class TestBisectionRange:
     )
     def test_bisection_matches_closed_form_at_any_budget(self, alpha, beta, mu, log10_p_r):
         assume(alpha > beta)
-        self.check(RatioQuadraticProblem(alpha, beta, mu, 10.0**log10_p_r / mu))
+        prob = RatioQuadraticProblem(alpha, beta, mu, 10.0**log10_p_r / mu)
+        lam = self.check(prob).lambda_hat
+        if bracket_upper(prob) - 1.0 > fractional._NARROW_BRACKET:
+            # The bracket ends on adjacent floats, lambda_hat on the side where pi > 0.
+            assert pi_of_lambda(prob, lam) > 0.0 >= pi_of_lambda(prob, math.nextafter(lam, math.inf))
 
 
 class TestGridOracle:

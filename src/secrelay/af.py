@@ -166,11 +166,15 @@ def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult
 
 
 def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float) -> float:
-    """Secrecy rate at a fixed feasible gain, before the positive-part clamp.
+    """Secrecy rate at a fixed feasible gain, before the positive-part clamp:
+    0.5*log2 of 1 plus the product of `_af_factors` at consumed power mu*x.
 
-    May be negative (alpha <= beta); raises for x outside [0, P_r/mu].
+    May be negative (alpha < beta); raises for x outside [0, P_r/mu].
     """
     x_max = gain_domain(Strategy.AF, params, pb)
     if not 0.0 <= x <= x_max:
         raise ValueError(f"gain x={x!r} outside the feasible domain [0, {x_max!r}]")
-    return 0.5 * (mutual_info_destination(params, x) - mutual_info_eavesdropper(params, x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain, mu_gain = _af_factors(params.alpha, params.beta, params.mu,
+                                    np.float64(params.mu * x))
+        return float(_HALF_LOG2_E * np.log1p(gain * mu_gain))

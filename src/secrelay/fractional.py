@@ -17,7 +17,8 @@ pi -- F at its constrained maximizer x(lambda) -- is continuous and
 strictly decreasing, which yields a safe bisection
 (`lambda_hat_bisection`), run until its two ends are adjacent floats. The
 closed form (`lambda_hat_closed_form`) is f at the maximizer
-min(x_max, 1/sqrt(a)), the point where the bisection lands.
+min(x_max, 1/sqrt(a)), the point where the bisection lands. f - 1 is
+evaluated in the AF kernel's factored form `af._af_factors`, free of a.
 `grid_oracle` is an intentionally brute-force cross-check: a dense grid scan
 refined by golden-section search, independent of the parametric machinery.
 """
@@ -30,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from .af import _af_factors, af_saturation_budget
 from .channel import secrecy_possible
 
 __all__ = [
@@ -129,20 +131,21 @@ def _blockwise(fun, x, out=None):
 
 
 def eval_f(prob: RatioQuadraticProblem, x, out=None):
-    """Objective value f(x); accepts a scalar or a numpy array.
+    """f(x), 1 plus the product of `af._af_factors` at consumed power mu*x,
+    for a scalar x (as a float) or a numpy array.
 
-    As in numpy, `out` is an optional array for the result, which may be
-    `x` itself. The denominator is >= 1 for x >= 0, so no clamping is
-    needed.
+    At x = 0, mu/0 = inf makes the first factor 0, so f = 1 exactly. As in
+    numpy, `out` is an optional array for the result, which may be `x` itself.
     """
-    a, n1, d1 = prob.quad, prob.num_lin, prob.den_lin
+    alpha, beta, mu = prob.alpha, prob.beta, prob.mu
 
     def ratio(x):
-        num = a * x * x + n1 * x + 1.0
-        den = a * x * x + d1 * x + 1.0
-        return num / den
+        gain, mu_gain = _af_factors(alpha, beta, mu, mu * x)
+        return 1.0 + gain * mu_gain
 
-    return _blockwise(ratio, x, out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = _blockwise(ratio, np.float64(x) if np.isscalar(x) else x, out)
+    return float(f) if np.isscalar(f) else f
 
 
 def eval_F(prob: RatioQuadraticProblem, x, lam: float):
@@ -202,13 +205,15 @@ def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
 
     f rises up to the unconstrained peak 1/sqrt(quad) and falls after it, so
     the maximizer is x_hat = min(x_max, 1/sqrt(quad)) and the root of pi is
-    f(x_hat). Degenerate inputs (alpha <= beta, mu = 1, or an empty domain)
-    collapse the bracket to a point; the ratio is then maximized trivially at
-    x = 0 with value 1.
+    f(x_hat). The peak is `af_saturation_budget / mu`, which never forms
+    quad (it may overflow). Degenerate inputs (alpha <= beta, mu = 1, or an
+    empty domain) collapse the bracket to a point; the ratio is then
+    maximized trivially at x = 0 with value 1.
     """
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    x_crit = 1.0 / math.sqrt(prob.quad) if prob.quad > 0.0 else math.inf
+    with np.errstate(divide="ignore", over="ignore"):  # inf at beta == 0 or past MAX
+        x_crit = float(af_saturation_budget(prob.alpha, prob.beta, prob.mu)) / prob.mu
     if prob.x_max <= x_crit:
         return LambdaSolution(eval_f(prob, prob.x_max), prob.x_max, SolverBranch.ENDPOINT)
     return LambdaSolution(eval_f(prob, x_crit), x_crit, SolverBranch.INTERIOR)
@@ -282,7 +287,7 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
     hi = _grid_point(x_max, n_points, i + 1) if i + 1 < n_points else x_max
 
     def _scalar(x: float) -> float:
-        return float(np.asarray(fun(np.array([x])))[0])
+        return float(fun(np.array(x)))
 
     # fc/fd is None where that interior point has yet to be evaluated.
     c = d = fc = fd = None

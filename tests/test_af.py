@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_estimators import mutual_info_destination_mc, mutual_info_eavesdropper_mc
 from secrelay.af import (
@@ -23,6 +26,34 @@ def random_case(rng):
         DerivedParams(rng.exponential(), rng.exponential(), rng.uniform(1.0, 20.0)),
         PowerBudget(1.0, rng.uniform(0.0, 50.0)),
     )
+
+
+def ref_rate(alpha, beta, mu, x):
+    """Half the difference of the two mutual informations,
+    0.5*log2((1+alpha*mu*x)/(1+alpha*x)) - 0.5*log2((1+beta*mu*x)/(1+beta*x)),
+    at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, m, x = (Decimal(float(v)) for v in (alpha, beta, mu, x))
+        diff = ((1 + a * m * x) / (1 + a * x)).ln() - ((1 + b * m * x) / (1 + b * x)).ln()
+        return float(diff / (2 * Decimal(2).ln()))
+
+
+def rate_ulps(mu):
+    """Bound in ulps on `af_achievable_rate_at`'s error (Higham 2002, ch.
+    2-3; u = 2**-53, first order).
+
+    With g = f - 1 the product of `af._af_factors` at t = mu*x: rounding t
+    moves g by at most u (|d ln g / d ln t| <= 1); each factor is within 4u
+    (its difference, its sum of two positive terms with one rounded input,
+    its division); the product adds u. log1p scales that 10u by its
+    condition number kappa = |g/((1+g)*ln(1+g))|, which is at most 1 for
+    g >= 0 and at most (mu-1)/ln(mu) for g < 0, where f = 1 + g >= 1/mu.
+    log1p itself is within one ulp (2u), the constant and the product by it
+    add 2u, and the reference rounds by half an ulp. A relative error of n*u
+    is at most n ulps.
+    """
+    return 10.0 * max(1.0, (mu - 1.0) / math.log(mu)) + 5.0
 
 
 class TestMutualInfo:
@@ -170,9 +201,42 @@ class TestAchievableRate:
         for _ in range(100):
             params, pb = random_case(rng)
             best = af_achievable_rate_at(params, pb, af_secrecy_capacity(params, pb).x_hat)
+            # The two differ only in rounding mu*(consumed/mu). A rounding
+            # count allows 22 ulps; 40,000 verify-like draws showed at most 4.
+            cap = af_secrecy_capacity(params, pb).capacity
+            assert abs(best - cap) <= 4 * math.ulp(cap)
             x_max = pb.p_r / params.mu
             for x in np.linspace(0.0, x_max, 25):
                 assert best >= af_achievable_rate_at(params, pb, float(x)) - 1e-12
+
+    def test_tiny_rate_keeps_relative_precision(self):
+        # mu within 3.3e-11 of 1: the two log ratios, 6.5e-17 and 6.0e-17,
+        # cancel to a difference 12 times smaller.
+        params = DerivedParams(0.24452212710260135, 0.22347569875128315, 1.0000000000327498)
+        pb, x = PowerBudget(1.0, 5.686827433004964e-05), 8.146604699728815e-06
+        ref = ref_rate(params.alpha, params.beta, params.mu, x)
+        assert ref == pytest.approx(4.0505e-18, rel=1e-4)
+        rate = af_achievable_rate_at(params, pb, x)
+        assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
+
+    # beta = alpha*ratio with |1 - ratio| >= 0.01 and x >= 1e-3*x_max keep the
+    # reference's 50-digit roundings below 1e-20 of the rate.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(1e-2, 10.0),
+        st.one_of(st.floats(1e-2, 0.99), st.floats(1.01, 100.0)),
+        st.floats(-12.0, math.log10(20.0)),
+        st.floats(-8.0, math.log10(50.0)),
+        st.floats(1e-3, 1.0),
+    )
+    def test_rate_matches_reference(self, alpha, ratio, log10_mu_excess, log10_p_r, frac):
+        params = DerivedParams(alpha, alpha * ratio, 1.0 + 10.0**log10_mu_excess)
+        pb = PowerBudget(1.0, 10.0**log10_p_r)
+        x = frac * (pb.p_r / params.mu)
+        ref = ref_rate(params.alpha, params.beta, params.mu, x)
+        rate = af_achievable_rate_at(params, pb, x)
+        assert (rate > 0.0) == (ratio < 1.0)
+        assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
 
     def test_matches_oracle_value_shape(self):
         # Rate at x is half the log of the ratio the oracle maximizes.

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from secrelay import fractional
+from secrelay.af import af_batch
 from secrelay.fractional import (
     LambdaSolution,
     RatioQuadraticProblem,
@@ -311,6 +312,18 @@ class TestSolvers:
         lam2 = lambda_hat_closed_form(RatioQuadraticProblem(4.0, 1.0, 2.0, 1.0)).lambda_hat
         assert abs(lam1 - lam2) <= 1e-9
 
+    def test_closed_form_where_quad_overflows(self):
+        # alpha*beta*mu overflows to inf while the peak, about 5.6e-182, is
+        # normal: the maximizer must not come from quad.
+        m = 3.795095897110841e+113
+        prob = RatioQuadraticProblem(1.3775548425177469e+135, 6.315913602935973e+113, m,
+                                     4.552877427674742e-56 / m)
+        sol = lambda_hat_closed_form(prob)
+        capacity, _ = af_batch(prob.alpha, prob.beta, m, 4.552877427674742e-56)
+        assert capacity == pytest.approx(35.44276820349234, rel=1e-15)
+        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(float(capacity), rel=1e-12)
+        assert sol.branch is SolverBranch.INTERIOR
+
     def test_degenerate_inputs(self):
         for prob in (
             RatioQuadraticProblem(1.0, 4.0, 2.0, 1.0),   # eavesdropper stronger
@@ -491,6 +504,33 @@ class TestGridOracle:
             assert f_star == 1.0
 
     def test_section_search_stops_where_float_spacing_exceeds_the_tolerance(self):
+        """On this flat peak the oracle's value and argmax hold bounds counted
+        from roundings (Higham 2002, ch. 2-3; u = 2**-53, first order).
+
+        With y = sqrt(alpha*beta*mu)*x, f - 1 = c*y/(y^2 + d*y + 1) peaks at
+        y = 1, with c = (alpha-beta)/sqrt(alpha*beta) * (mu-1)/sqrt(mu) and
+        d = A/M + M/A (A = sqrt(alpha/beta), M = sqrt(mu)); here c ~ d ~ 22361
+        and f* ~ 2. Near the peak f* - f(y) = k*(y-1)^2, k = c/(2+d)^2, up to
+        a relative (y-1) of at most 2.2e-4.
+        - eval_f is within delta = 6u of f, up to a factor of f - 1 common to
+          every evaluation (alpha - beta). mu*x is exact (mu = 2); mu/(mu*x)
+          and beta*mu*x are 4.5e-5 of the 1 they are added to. The two sums,
+          the two divisions and the product round once each (5u of f - 1 < 1),
+          and 1 + (f - 1) by at most u, since f < 2.
+        - Grid neighbours are h = 5 apart (2.2e-4 in y) and differ near the
+          peak by at least 0.75*k*h^2 ~ 1.7e-12 >> 2*delta, so the grid argmax
+          and its two neighbours bracket the peak.
+        - The section search keeps the better of its two interior points, so
+          its final midpoint lies within the last bracket, a few ulps wide,
+          of the best point it evaluated. A comparison drops the peak only
+          where the two values lie within 2*delta; the point nearer the peak
+          is then within 1/g of their spacing from it (g = 0.618, the
+          section ratio), so its f is within delta/g of f*. So f* - f(x_star) <=
+          (2 + 1/g)*delta, and |y_star - 1| <= sqrt((2 + 1/g)*delta/k):
+          2.33 resolvable widths w = sqrt(eps*f*)*(2+d)/sqrt(c) (eps = 2u).
+        - x_hat is a few u from the peak (so y_star = x_star/x_hat), and
+          |f_star - lambda_hat| <= 2*delta + (2 + 1/g)*delta: 34u, 17 ulps of f.
+        """
         # Brackets above x = 8192 cannot shrink below refine_tol = 1e-12;
         # without the stall stop these calls never return. Run in a child
         # process so that a regression fails the test instead of hanging it.
@@ -505,8 +545,13 @@ class TestGridOracle:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=30, check=True).stdout
         (x_star, f_star), lambda_hat, x_hat, ramp = eval(out)
-        assert f_star == lambda_hat
-        assert abs(x_star - x_hat) <= 1e-6 * x_hat
+        u, g = 2.0**-53, (math.sqrt(5.0) - 1.0) / 2.0
+        c = (1.0 - 1e-9) / math.sqrt(1e-9) * (2.0 - 1.0) / math.sqrt(2.0)
+        d = math.sqrt(1e9) / math.sqrt(2.0) + math.sqrt(2.0) / math.sqrt(1e9)
+        delta, width = 6.0 * u, math.sqrt(2.0 * u * lambda_hat) * (2.0 + d) / math.sqrt(c)
+        assert abs(f_star - lambda_hat) <= (4.0 + 1.0 / g) * delta
+        widths = math.sqrt((2.0 + 1.0 / g) * delta / (2.0 * u * lambda_hat))
+        assert abs(x_star / x_hat - 1.0) <= widths * width
         assert ramp == (1e4, 1e4)
 
     def test_flat_objective_resolves_to_smallest_x(self):

@@ -8,25 +8,28 @@ The AF secrecy objective reduces to
 maximized over 0 <= x <= x_max. f is not concave, so the solver takes the
 parametric route: search for lambda with
 
-    pi(lambda) = max_x [num(x) - lambda*den(x)] = 0;
+    pi(lambda) = max_x F(x, lambda) = 0,  F = num - lambda*den = (f - lambda)*den;
 
 that root is the optimal ratio value and the inner argmax is the optimal
-gain. For alpha > beta and mu > 1 the root is bracketed in
-[1, n1/d1), the auxiliary quadratic F(x, lambda) is concave in x there, and
-pi -- F at its constrained maximizer x(lambda) -- is continuous and
-strictly decreasing, which yields a safe bisection
-(`lambda_hat_bisection`), run until its two ends are adjacent floats. The
-closed form (`lambda_hat_closed_form`) is f at the maximizer
-min(x_max, 1/sqrt(a)), the point where the bisection lands. f - 1 is
-evaluated in the AF kernel's factored form `af._af_factors`, free of a.
-`grid_oracle` is an intentionally brute-force cross-check: a dense grid scan
-refined by golden-section search, independent of the parametric machinery.
+gain. f - 1 is evaluated in the AF kernel's factored form `af._af_factors`,
+and F from it, so neither forms a. In the excess t = lambda - 1,
+F = d1*(k - t)*x - t*a*x^2 - t with k = n1/d1 - 1 is concave in x for every
+lambda >= 1, and pi -- F at its maximizer x(lambda), the stationary point
+clamped to [0, x_max] -- is continuous and decreasing. For alpha > beta and
+mu > 1 the root lies in [1, 1 + k]: pi(1) = (alpha-beta)*(mu-1)*x_max > 0,
+and at t = k, F = -k*(a*x^2 + 1) < 0 for every x. Both signs hold by
+argument, so the bisection (`lambda_hat_bisection`) evaluates neither end
+and runs until its two ends are adjacent floats. The closed form
+(`lambda_hat_closed_form`) is f at the maximizer min(x_max, 1/sqrt(a)), the
+point where the bisection lands. `grid_oracle` is an intentionally
+brute-force cross-check: a dense grid scan refined by golden-section search,
+independent of the parametric machinery.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,11 +57,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # each, then stay in a 2 MiB per-core L2 cache.
 _BLOCK = 1 << 15
 
-# A root bracket no wider than this needs no sign change of pi: with mu
-# within a few ulps of 1, n1/d1 rounds to 1 or just above it, and pi at
-# both ends is rounding noise.
-_NARROW_BRACKET = 1e-12
-
 
 @dataclass(frozen=True, slots=True)
 class RatioQuadraticProblem:
@@ -68,11 +66,6 @@ class RatioQuadraticProblem:
     beta: float
     mu: float
     x_max: float
-    # Shared quadratic coefficient, and the numerator's and denominator's
-    # linear coefficients, formed once from the four fields above.
-    quad: float = field(init=False, repr=False, compare=False)
-    num_lin: float = field(init=False, repr=False, compare=False)
-    den_lin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Python floats, so that numpy scalars overflow to inf with no warning.
@@ -87,9 +80,6 @@ class RatioQuadraticProblem:
             raise ValueError("mu must be at least 1")
         if self.x_max < 0:
             raise ValueError("x_max must be nonnegative")
-        object.__setattr__(self, "quad", self.alpha * self.beta * self.mu)
-        object.__setattr__(self, "num_lin", self.alpha * self.mu + self.beta)
-        object.__setattr__(self, "den_lin", self.alpha + self.beta * self.mu)
 
 
 class SolverBranch(Enum):
@@ -149,43 +139,54 @@ def eval_f(prob: RatioQuadraticProblem, x, out=None):
 
 
 def eval_F(prob: RatioQuadraticProblem, x, lam: float):
-    """Auxiliary quadratic F(x, lambda) = num(x) - lambda*den(x), for lambda > 0."""
-    return (
-        prob.quad * (1.0 - lam) * x * x
-        + (prob.num_lin - lam * prob.den_lin) * x
-        + (1.0 - lam)
-    )
+    """F(x, lambda) = (f(x) - lambda)*den(x), den = (1 + alpha*x)*(1 + beta*mu*x),
+    for lambda >= 1 and a scalar x (as a float) or a numpy array.
+
+    f - lambda is taken as (f - 1) - t, with t = lambda - 1 and f - 1 the
+    product of `af._af_factors` at consumed power mu*x, and den is multiplied
+    in factor by factor. That form divides by x; at x = 0, F = 1 - lambda.
+    """
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _F(prob, x, lam)  # mu/0 = inf at x = 0 makes f - 1 = 0 there
+    return _F(prob, x, lam) if x > 0.0 else 1.0 - lam
 
 
-def _bracket_upper(prob: RatioQuadraticProblem) -> float:
-    return prob.num_lin / prob.den_lin
+def _F(prob: RatioQuadraticProblem, x, lam: float):
+    alpha, beta, mu = prob.alpha, prob.beta, prob.mu
+    gain, mu_gain = _af_factors(alpha, beta, mu, mu * x)
+    return (gain * mu_gain - (lam - 1.0)) * (1.0 + alpha * x) * (1.0 + beta * mu * x)
 
 
-def _check_lambda(prob: RatioQuadraticProblem, lam: float) -> None:
-    # The optimum lies in the half-open bracket [1, n1/d1); the closed upper
-    # endpoint is still a valid evaluation point (x=0 maximizes F there), and
-    # admitting it keeps bisection free of special cases.
-    if not (1.0 <= lam <= _bracket_upper(prob)):
-        raise ValueError(
-            f"lambda={lam!r} outside the root bracket [1, {_bracket_upper(prob)!r}]"
-        )
+def _excess_bound(prob: RatioQuadraticProblem) -> float:
+    """k = n1/d1 - 1 = (alpha-beta)/(alpha+beta*mu)*(mu-1), for alpha > 0.
+
+    f - 1 = d1*k*x/den(x) < k, so the root of pi lies in t < k. Written
+    through beta/alpha < 1 where alpha > beta, so neither beta*mu nor k
+    overflows.
+    """
+    alpha, beta, mu = prob.alpha, prob.beta, prob.mu
+    return (alpha - beta) / alpha * ((mu - 1.0) / (1.0 + beta / alpha * mu))
 
 
 def x_of_lambda(prob: RatioQuadraticProblem, lam: float) -> float:
-    """Maximizer of F(., lambda) over [0, x_max].
+    """Maximizer of F(., lambda) over [0, x_max], for any lambda >= 1: the
+    stationary point d1/(2a)*(k/t - 1) of F (t = lambda - 1), with d1/(2a) =
+    1/(2*beta*mu) + 1/(2*alpha), clamped to [0, x_max].
 
-    F is concave in x on the bracket; its unconstrained peak moves from
-    beyond x_max down to 0 as lambda sweeps the bracket, so the constrained
-    maximizer is x_max up to a threshold (where dF/dx at x_max is 0) and
-    the interior stationary point after it.
+    The clamp is taken without forming the point where that would divide by
+    0: it is 0 where F falls from x = 0 (t >= k, or a degenerate problem,
+    where f <= 1), and x_max where F is linear and rising (t = 0 or beta = 0).
     """
-    _check_lambda(prob, lam)
-    a, x = prob.quad, prob.x_max
-    # F rises at lambda = 1; where 2*a*x overflows the threshold is nan.
-    if lam <= 1.0 or lam <= (2.0 * a * x + prob.num_lin) / (2.0 * a * x + prob.den_lin):
-        return x
-    x_tilde = (lam * prob.den_lin - prob.num_lin) / (2.0 * a * (1.0 - lam))
-    return min(max(x_tilde, 0.0), x)
+    if not lam >= 1.0:
+        raise ValueError(f"lambda={lam!r} must be at least 1")
+    t = lam - 1.0
+    if _is_degenerate(prob) or not t < (k := _excess_bound(prob)):
+        return 0.0
+    beta, x_max = prob.beta, prob.x_max
+    if t == 0.0 or beta == 0.0:
+        return x_max
+    return min(x_max, (0.5 / (beta * prob.mu) + 0.5 / prob.alpha) * (k / t - 1.0))
 
 
 def pi_of_lambda(prob: RatioQuadraticProblem, lam: float) -> float:
@@ -203,10 +204,10 @@ _DEGENERATE_SOLUTION = LambdaSolution(1.0, 0.0, SolverBranch.DEGENERATE)
 def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
     """Closed-form root of pi and the matching maximizer.
 
-    f rises up to the unconstrained peak 1/sqrt(quad) and falls after it, so
-    the maximizer is x_hat = min(x_max, 1/sqrt(quad)) and the root of pi is
+    f rises up to the unconstrained peak 1/sqrt(a) and falls after it, so
+    the maximizer is x_hat = min(x_max, 1/sqrt(a)) and the root of pi is
     f(x_hat). The peak is `af_saturation_budget / mu`, which never forms
-    quad (it may overflow). Degenerate inputs (alpha <= beta, mu = 1, or an
+    a (it may overflow). Degenerate inputs (alpha <= beta, mu = 1, or an
     empty domain) collapse the bracket to a point; the ratio is then
     maximized trivially at x = 0 with value 1.
     """
@@ -220,24 +221,20 @@ def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
 
 
 def lambda_hat_bisection(prob: RatioQuadraticProblem) -> LambdaSolution:
-    """Bisection on pi over the bracket, down to adjacent floats.
+    """Bisection on pi over the bracket [1, 1 + k], down to adjacent floats.
 
-    pi is strictly decreasing with a sign change across the bracket, so the
-    root is unique; bisection keeps pi(lo) > 0 >= pi(hi) from the sign of
-    pi alone and stops when no float lies strictly between lo and hi. It
-    returns lo, the last lambda where pi > 0: within one ulp of the root,
-    so |pi(lambda_hat)| is about den(x)*ulp at most.
+    pi is decreasing, positive at 1 and negative at 1 + k (module
+    docstring), so the bisection keeps pi(lo) > 0 >= pi(hi) without
+    evaluating either end. The top is 1 + k rounded up, so that t >= k and
+    x(lambda) = 0 there in floats too. It stops when no float lies strictly
+    between lo and hi and returns lo, the last lambda where pi > 0: within
+    one ulp of the root, so |pi(lambda_hat)| is about den(x)*ulp at most.
+    Where k is below half an ulp of 1, no float lies between 1 and the top,
+    and the bisection returns 1.
     """
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    lo, hi = 1.0, _bracket_upper(prob)
-    f_lo = pi_of_lambda(prob, lo)
-    f_hi = pi_of_lambda(prob, hi)
-    if hi - lo > _NARROW_BRACKET and not (f_lo > 0.0 and f_hi < 0.0):
-        raise RuntimeError(
-            "pi does not change sign across the bracket; "
-            f"pi({lo})={f_lo!r}, pi({hi})={f_hi!r}"
-        )
+    lo, hi = 1.0, math.nextafter(1.0 + _excess_bound(prob), math.inf)
     # The midpoint rounds to an end only when no float lies between them.
     while (mid := lo + 0.5 * (hi - lo)) != lo and mid != hi:
         if pi_of_lambda(prob, mid) > 0.0:

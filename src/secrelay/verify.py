@@ -115,7 +115,7 @@ def solver_consistency(draws: int, rng: np.random.Generator) -> SuiteResult:
             continue
         evaluated += 1
         prob = RatioQuadraticProblem(a, b, m, p / m)
-        upper = prob.num_lin / prob.den_lin
+        upper = (a * m + b) / (a + b * m)  # n1/d1, the root bracket's top
         closed, bisected = lambda_hat_closed_form(prob), lambda_hat_bisection(prob)
         for sol in (closed, bisected):
             bracket_excess = _worst(bracket_excess, 1.0 - sol.lambda_hat, sol.lambda_hat - upper)

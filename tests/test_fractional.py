@@ -37,6 +37,12 @@ N_DRAWS = 300
 MU_TOP = 4.0637796884638095e+70
 MU_INF = 9.182955741725557e+39
 WITNESS_INF = (1.497376988830621e+129, 2.507497317682244e+82, MU_INF, 1.461411446535263e+106 / MU_INF)
+# A problem whose a*x_max^2 overflows where F is finite, and one where the
+# problem's stored a*(1 - lambda)*x^2 read pi(1) = nan.
+WITNESS_F_OVERFLOW = (4.5298102794798065e+115, 1.1222126218349657e+84,
+                      6.425342794754521e+102, 1.838697719893065e-150)
+WITNESS_PI_NAN = (2.426883077091397e+108, 3.699067753786442e+106,
+                  9.14384646071273e+112, 4.0905987627857694e-122)
 
 
 def random_problem(rng, positive_rate=True):
@@ -50,8 +56,16 @@ def random_problem(rng, positive_rate=True):
             return RatioQuadraticProblem(a, b, mu, x_max)
 
 
+def quadratics(prob):
+    """(a, n1, d1): the ratio's shared quadratic coefficient and its
+    numerator's and denominator's linear coefficients."""
+    a, b, m = prob.alpha, prob.beta, prob.mu
+    return a * b * m, a * m + b, a + b * m
+
+
 def bracket_upper(prob):
-    return prob.num_lin / prob.den_lin
+    _, n1, d1 = quadratics(prob)
+    return n1 / d1
 
 
 class TestEvalF:
@@ -206,18 +220,26 @@ class TestXOfLambda:
         assert x == pytest.approx(scan, abs=1e-5)
 
     def test_branches_agree_at_threshold(self):
+        # thr is the lambda where dF/dx at x_max is 0, so the stationary
+        # point is x_max: below it the clamp holds x at x_max, and past it the
+        # stationary point leaves x_max continuously.
         prob = PROB_WIDE
-        a = prob.quad
-        thr = (2.0 * a * prob.x_max + prob.num_lin) / (2.0 * a * prob.x_max + prob.den_lin)
-        assert x_of_lambda(prob, thr) == prob.x_max
+        a, n1, d1 = quadratics(prob)
+        thr = (2.0 * a * prob.x_max + n1) / (2.0 * a * prob.x_max + d1)
+        assert x_of_lambda(prob, thr - 1e-9 * (thr - 1.0)) == prob.x_max
+        assert x_of_lambda(prob, thr) == pytest.approx(prob.x_max, rel=1e-14)
         just_inside = thr + 1e-12 * (bracket_upper(prob) - thr)
         assert x_of_lambda(prob, just_inside) == pytest.approx(prob.x_max, rel=1e-6)
 
     def test_rejects_lambda_outside_bracket(self):
-        with pytest.raises(ValueError):
-            x_of_lambda(PROB_WIDE, 0.99)
-        with pytest.raises(ValueError):
-            x_of_lambda(PROB_WIDE, bracket_upper(PROB_WIDE) + 1e-9)
+        # Below the bracket lambda is rejected. Above it F = -t*(a*x^2 + 1) -
+        # d1*(t - k)*x falls from x = 0, so x(lambda) = 0 and pi = 1 - lambda.
+        for lam in (0.99, math.nan):
+            with pytest.raises(ValueError):
+                x_of_lambda(PROB_WIDE, lam)
+        for lam in (bracket_upper(PROB_WIDE) + 1e-9, 2.0, 1e300):
+            assert x_of_lambda(PROB_WIDE, lam) == 0.0
+            assert pi_of_lambda(PROB_WIDE, lam) == 1.0 - lam
 
     def test_always_feasible(self):
         rng = np.random.default_rng(11)
@@ -252,13 +274,13 @@ class TestPiOfLambda:
         for _ in range(N_DRAWS):
             prob = random_problem(rng)
             lam = rng.uniform(1.0, bracket_upper(prob))
-            a, x, n1, d1 = prob.quad, prob.x_max, prob.num_lin, prob.den_lin
+            (a, n1, d1), x = quadratics(prob), prob.x_max
             if lam <= (2.0 * a * x + n1) / (2.0 * a * x + d1):
                 expected = (-a * x * x - d1 * x - 1.0) * lam + a * x * x + n1 * x + 1.0
             else:
                 t = lam * d1 - n1
                 expected = t * t / (4.0 * a * (lam - 1.0)) - lam + 1.0
-            scale = 1.0 + prob.quad * prob.x_max**2 + prob.num_lin * prob.x_max
+            scale = 1.0 + a * x * x + n1 * x
             assert pi_of_lambda(prob, lam) == pytest.approx(expected, abs=1e-12 * scale)
 
     def test_sign_structure(self):
@@ -358,11 +380,12 @@ class TestSolvers:
         rng = np.random.default_rng(15)
         for _ in range(N_DRAWS):
             prob = random_problem(rng)
-            if prob.x_max <= 1.0 / math.sqrt(prob.quad):
+            a, n1, d1 = quadratics(prob)
+            if prob.x_max <= 1.0 / math.sqrt(a):
                 continue
             sol = lambda_hat_closed_form(prob)
-            root = 2.0 * math.sqrt(prob.quad)
-            reduced = (prob.num_lin + root) / (prob.den_lin + root)
+            root = 2.0 * math.sqrt(a)
+            reduced = (n1 + root) / (d1 + root)
             assert sol.lambda_hat == pytest.approx(reduced, rel=1e-12)
 
 
@@ -393,29 +416,40 @@ class TestSolverProperties:
         rng = np.random.default_rng(18)
         for _ in range(N_DRAWS):
             prob = random_problem(rng)
-            a = prob.quad
+            a, n1, d1 = quadratics(prob)
             edge = RatioQuadraticProblem(prob.alpha, prob.beta, prob.mu, 1.0 / math.sqrt(a))
             lam1 = eval_f(edge, edge.x_max)
             root = 2.0 * math.sqrt(a)
-            lam2 = (prob.num_lin + root) / (prob.den_lin + root)
+            lam2 = (n1 + root) / (d1 + root)
             assert abs(lam1 - lam2) <= 1e-9
 
 
 class TestBisectionRange:
-    """The bisection at budgets where a*x_max^2 overflows, and with mu within
-    a few ulps of 1, where n1/d1 rounds to 1 or to the next float."""
+    """The bisection at budgets where a*x_max^2 overflows, at every scale
+    from 1e-150 to 1e150, and with mu within a few ulps of 1, where 1 + k
+    rounds to 1 or to the next float."""
 
     @staticmethod
     def check(prob):
+        """The bisection agrees with the closed form, and, unless the problem
+        is degenerate, its bracket ends on adjacent floats with lambda_hat on
+        the side where pi > 0. Only lambda_hat = 1, the bracket's bottom, is
+        never evaluated: there pi = (alpha-beta)*(mu-1)*x_max > 0 in exact
+        arithmetic, but f - 1 at x_max may underflow to 0 in floats
+        (witnesses below)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bisected = lambda_hat_bisection(prob)
         assert bisected.lambda_hat == pytest.approx(lambda_hat_closed_form(prob).lambda_hat, rel=1e-12)
-        return bisected
+        if bisected.branch is not SolverBranch.DEGENERATE:
+            lam = bisected.lambda_hat
+            low = pi_of_lambda(prob, lam)
+            assert low > 0.0 or (lam == 1.0 and low == 0.0)
+            assert pi_of_lambda(prob, math.nextafter(lam, math.inf)) <= 0.0
 
     @pytest.mark.parametrize("case", [
         (4.0, 1.0, 2.0, 5e199),
-        (7.0, 6.0, 1.0 + 2.0**-52, 1.0),  # n1 == d1: the bracket is a point
+        (7.0, 6.0, 1.0 + 2.0**-52, 1.0),  # k below half an ulp: lambda_hat = 1
         (20.411317735881653, 2.0236876656051463, 1.0 + 2.0**-51, 3.1e135),  # pi(n1/d1) > 0
         # The root rounds to the bracket's top n1/d1, where x(lambda) = 0:
         # a Newton (Dinkelbach) step from there lands on f(0) = 1.
@@ -424,6 +458,16 @@ class TestBisectionRange:
         # as Python floats and as numpy scalars, whose overflow would warn.
         WITNESS_INF,
         tuple(np.array(WITNESS_INF)),
+        WITNESS_F_OVERFLOW,
+        WITNESS_PI_NAN,
+        # 1 + k rounds below the root: the top must be rounded up for pi < 0 there.
+        (1.6219678046197671e+43, 1.8261133988015012e+42, 9.977503661986028e+146,
+         7.230788808317885e-139),
+        # f - 1 far below an ulp of 1, so lambda_hat = 1, where pi(1) reads 0:
+        # the first factor of f - 1 underflows, or their product does.
+        (1e-150, 1e-151, 1.0 + 1e150, 1e-300),
+        (1e150, 1e150 * (1.0 - 1e-12), 1.0 + 1e-15, 1e150),
+        (2.0, 0.0, 3.0, 1e300),  # no eavesdropper gain, at a huge budget
     ])
     def test_witness_matches_closed_form(self, case):
         self.check(RatioQuadraticProblem(*case))
@@ -437,11 +481,28 @@ class TestBisectionRange:
     )
     def test_bisection_matches_closed_form_at_any_budget(self, alpha, beta, mu, log10_p_r):
         assume(alpha > beta)
-        prob = RatioQuadraticProblem(alpha, beta, mu, 10.0**log10_p_r / mu)
-        lam = self.check(prob).lambda_hat
-        if bracket_upper(prob) - 1.0 > fractional._NARROW_BRACKET:
-            # The bracket ends on adjacent floats, lambda_hat on the side where pi > 0.
-            assert pi_of_lambda(prob, lam) > 0.0 >= pi_of_lambda(prob, math.nextafter(lam, math.inf))
+        self.check(RatioQuadraticProblem(alpha, beta, mu, 10.0**log10_p_r / mu))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-150.0, 150.0), min_size=4, max_size=4))
+    def test_bisection_matches_closed_form_at_any_scale(self, exponents):
+        # Every parameter log-uniform over 1e+-150: alpha >= beta, mu = 1 + 10**e.
+        e_alpha, e_beta, e_mu, e_p_r = exponents
+        alpha, beta = 10.0 ** max(e_alpha, e_beta), 10.0 ** min(e_alpha, e_beta)
+        mu = 1.0 + 10.0**e_mu
+        self.check(RatioQuadraticProblem(alpha, beta, mu, 10.0**e_p_r / mu))
+
+    @pytest.mark.parametrize("solver", [lambda_hat_closed_form, lambda_hat_bisection])
+    def test_no_eavesdropper_gain(self, solver):
+        # beta = 0: f rises to the endpoint, f(1) = 1 + 2*2/3 = 7/3, and F at
+        # lambda = 1 is linear with slope (alpha - beta)*(mu - 1) = 4.
+        prob = RatioQuadraticProblem(2.0, 0.0, 3.0, 1.0)
+        sol = solver(prob)
+        assert sol.branch is SolverBranch.ENDPOINT and sol.x_hat == prob.x_max
+        assert sol.lambda_hat == pytest.approx(7.0 / 3.0, rel=1e-15)
+        assert pi_of_lambda(prob, 1.0) == 4.0
+        assert x_of_lambda(prob, 1.0) == prob.x_max
+
 
 
 class TestGridOracle:

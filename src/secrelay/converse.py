@@ -1,13 +1,17 @@
 """Genie-aided upper bound on the AF secrecy capacity.
 
-The bound hands the destination the eavesdropper's observation as side
-information. With the two receiver noises jointly Gaussian (cross-correlation
-phi, |phi| <= 1 for a valid covariance), the conditional mutual information
-is a ratio of an LMMSE error variance to a noise-only conditional variance,
-both explicit in x = |omega|^2. A channel-dependent choice of phi makes the
-bound objective coincide with the achievable log ratio, which is exactly what
-certifies the closed-form capacity; phi is nevertheless kept free here so
-dominance can be probed at arbitrary admissible correlations.
+The genie hands the destination the eavesdropper's observation. With the two
+receiver noises jointly Gaussian (correlation phi, |phi| <= 1), the bound is
+half the log-ratio of two variances of the destination output given the
+eavesdropper output, with and without the relayed signal. At relay variance
+t >= 0 (t = mu*x, or x for the noise alone; x = |omega|^2) that variance is
+v(t) = N(t)/(1 + beta*t): the joint covariance's determinant N(t) = c0 + c1*t
+is affine, c0 = 1 - |phi|^2, c1 = alpha + beta - 2*Re{h_d*conj(h_e)*phi}. A
+ratio of affine functions is monotone on t >= 0, so v lies between c0 and
+c1/beta, and it overflows no sooner than its terms c1*t and beta*t. A
+channel-dependent phi makes the bound coincide with the achievable log
+ratio, which certifies the closed-form capacity; phi is kept free so
+dominance can be probed at any admissible correlation.
 """
 
 from __future__ import annotations
@@ -79,35 +83,28 @@ def _as_correlation(phi) -> NoiseCorrelation:
     return NoiseCorrelation(complex(phi))
 
 
-def _cross_term(ch: ChannelRealization, phi: NoiseCorrelation) -> float:
-    """Re{h_d * conj(h_e) * phi}, the interference term of both variances."""
-    return (complex(ch.h_d) * complex(ch.h_e).conjugate() * complex(phi.phi)).real
-
-
-def _noise_determinant(params: DerivedParams, cross: float, phi2: float, t):
-    """N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*t*Re{h_d*conj(h_e)*phi}.
-
-    The determinant of the joint covariance of the destination and
-    eavesdropper outputs when the relay forwards variance t: t = x for the
-    noise alone, t = mu*x with the signal. Divided by 1 + beta*t it is the
-    variance of the destination output given the eavesdropper output.
-    `cross` is Re{h_d*conj(h_e)*phi} and `phi2` is |phi|^2.
-    """
-    return 1.0 + (params.alpha + params.beta) * t - phi2 - 2.0 * t * cross
+def _conditional_variance(ch: ChannelRealization, params: DerivedParams,
+                          phi: NoiseCorrelation):
+    """v(t) = (c0 + c1*t)/(1 + beta*t) (module docstring), c0 and c1 formed
+    once. For t >= 0 it has the sign of N(t)."""
+    c0 = 1.0 - phi.abs2
+    cross = (complex(ch.h_d) * complex(ch.h_e).conjugate() * complex(phi.phi)).real
+    c1 = params.alpha + params.beta - 2.0 * cross
+    b = params.beta
+    return lambda t: (c0 + c1 * t) / (1.0 + b * t)
 
 
 def lmmse_error_variance(ch: ChannelRealization, params: DerivedParams, x: float,
                          phi) -> float:
-    """Error variance N(mu*x) / (1 + beta*mu*x) of linearly estimating the
-    destination output from the eavesdropper output, clamped at zero so it
-    is nonnegative for every admissible phi.
+    """Error variance v(mu*x) of linearly estimating the destination output
+    from the eavesdropper output, x >= 0, clamped at zero so it is
+    nonnegative for every admissible phi. It lies between c0 and c1/beta
+    (module docstring), so it is bounded wherever beta > 0.
     """
     phi = _as_correlation(phi)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    t = params.mu * x
-    det = _noise_determinant(params, _cross_term(ch, phi), phi.abs2, t)
-    return max(det, 0.0) / (1.0 + params.beta * t)
+    return max(_conditional_variance(ch, params, phi)(params.mu * x), 0.0)
 
 
 def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelation:
@@ -125,29 +122,30 @@ def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelatio
 
 
 def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi, out=None):
-    """Conditional-mutual-information bound at gain x and correlation phi:
+    """Conditional-mutual-information bound at gain x >= 0 and correlation phi:
 
-        0.5*log2[ (1+beta*x)/(1+beta*mu*x) * N(mu*x) / N(x) ]
+        0.5*log2[ v(mu*x) / v(x) ],   v(t) = N(t)/(1 + beta*t),
 
-    with N(t) from `_noise_determinant`.
+    the LMMSE error variance over the noise-only one (module docstring).
+    Each variance lies between c0 and c1/beta and is formed on its own, so
+    the ratio is finite wherever both variances are.
 
     Accepts a scalar x, for which it returns a float, or a numpy array,
     evaluated in cache-sized blocks into `out` (fresh unless given; it may
-    be `x` itself, as in numpy). Raises when either variance term is
-    nonpositive (possible only at |phi| = 1).
+    be `x` itself, as in numpy). Raises when either variance is not positive
+    (possible only at |phi| = 1).
     """
     phi = _as_correlation(phi)
-    b, m = params.beta, params.mu
-    cross = _cross_term(ch, phi)
-    phi2 = phi.abs2
+    v = _conditional_variance(ch, params, phi)
+    m = params.mu
 
     def value(x):
-        n_mu = _noise_determinant(params, cross, phi2, m * x)
-        n_one = _noise_determinant(params, cross, phi2, x)
+        v_mu = v(m * x)
+        v_one = v(x)
         # count_nonzero, unlike any(), is cheap on the bools of a scalar x.
-        if np.count_nonzero(n_one <= 0.0) or np.count_nonzero(n_mu <= 0.0):
+        if np.count_nonzero(v_one <= 0.0) or np.count_nonzero(v_mu <= 0.0):
             raise DegenerateDistributionError("conditional variance is not positive")
-        return 0.5 * np.log2((1.0 + b * x) * n_mu / ((1.0 + b * m * x) * n_one))
+        return 0.5 * np.log2(v_mu / v_one)
 
     if np.isscalar(x):
         return float(value(x))

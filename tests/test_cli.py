@@ -72,6 +72,15 @@ class TestCompute:
         assert "x_hat           0.0\n" in out
         assert "consumed_power  0.0 W\n" in out
 
+    def test_genie_bound_of_huge_gains_prints_no_warning(self):
+        # (1 + beta*x)*N(mu*x) overflowed: the line read nan, after numpy
+        # RuntimeWarnings. In a child, so that a warning would reach its
+        # stderr.
+        done = run_in_child("compute", "--strategy", "af", "--alpha", "1e300",
+                            "--beta", "1e299", "--mu", "2", "--pr", "1")
+        assert done.returncode == 0 and done.stderr == ""
+        assert math.isfinite(_field(done.stdout, "genie_bound"))
+
     def test_channel_gain_inputs(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--strategy", "af",

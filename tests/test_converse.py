@@ -1,13 +1,22 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_estimators import lmmse_error_variance_mc
 from secrelay import converse, fractional
 from secrelay.af import af_achievable_rate_at, af_secrecy_capacity
-from secrelay.channel import ChannelRealization, DerivedParams, PowerBudget, derive_params
+from secrelay.channel import (
+    ChannelRealization,
+    DerivedParams,
+    PowerBudget,
+    derive_params,
+    surrogate_channel,
+)
 from secrelay.converse import (
     DegenerateDistributionError,
     NoiseCorrelation,
@@ -127,8 +136,8 @@ class TestConditionalEntropy:
             ch, params, _ = random_channel(rng)
             phi = random_phi(rng, r_max=1.0)
             x = rng.uniform(0.0, 5.0)
-            cross = converse._cross_term(ch, phi)
-            assert converse._noise_determinant(params, cross, phi.abs2, x) >= -1e-12
+            # For t >= 0 the variance N(t)/(1 + beta*t) has the sign of N(t).
+            assert converse._conditional_variance(ch, params, phi)(x) >= -1e-12
 
 
 class TestSelectPhi:
@@ -293,6 +302,142 @@ class TestGenieBound:
             bound = genie_upper_bound(ch, params, pb, n_points=100_001)
             cap = af_secrecy_capacity(params, pb).capacity
             assert abs(bound.bound_value - cap) <= 1e-9
+
+
+def reference(ch, params, phi, x):
+    """(v(mu*x), v(x)), (N(mu*x), N(x)) and the bound 0.5*log2(v(mu*x)/v(x))
+    at 50 digits, from the determinant's definition
+    N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*t*Re{h_d*conj(h_e)*phi}
+    and v(t) = N(t)/(1 + beta*t), on the float inputs as given."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p, q, r, s, f, g, a, b, m, x = (Decimal(float(v)) for v in (
+            ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag,
+            phi.phi.real, phi.phi.imag, params.alpha, params.beta, params.mu, x))
+        # h_d*conj(h_e) = (p*r + q*s) + i*(q*r - p*s)
+        cross = (p * r + q * s) * f - (q * r - p * s) * g
+
+        def n_v(t):
+            n = 1 + (a + b) * t - (f * f + g * g) - 2 * t * cross
+            return n, n / (1 + b * t)
+
+        (n_mu, v_mu), (n_one, v_one) = n_v(m * x), n_v(x)
+        bound = (v_mu / v_one).ln() / (2 * Decimal(2).ln())
+        return (float(v_mu), float(v_one)), (float(n_mu), float(n_one)), float(bound)
+
+
+def condition(ch, params, phi, t, n):
+    """kappa(t) = A(t)/|N(t)|, A(t) = S0 + S1*t: N's terms taken in absolute
+    value, S0 = 1 + |phi|^2 and S1 = alpha + beta + 2*R, where R sums the
+    absolute values of the four triple products that form
+    Re{h_d*conj(h_e)*phi}."""
+    p, q, r, s = ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag
+    f, g = phi.phi.real, phi.phi.imag
+    big_r = (abs(p * r) + abs(q * s)) * abs(f) + (abs(q * r) + abs(p * s)) * abs(g)
+    s1 = params.alpha + params.beta + 2.0 * big_r
+    return (1.0 + phi.abs2 + s1 * t) / abs(n)
+
+
+class TestReference:
+    U = 2.0**-53
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.one_of(st.none(), st.floats(-1e-6, 1e-6)),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(0.0, 0.999),
+        st.one_of(st.none(), st.floats(0.0, 2.0 * math.pi)),
+        st.floats(1.0, 20.0),
+        st.floats(0.0, 5.0),
+    )
+    def test_bound_and_variance_match_reference(self, ua, ub, near, th_d, th_e, radius,
+                                                 th_phi, mu, x):
+        """`bound_objective` and `lmmse_error_variance` against `reference`.
+
+        alpha and beta are Exp(1), as `verify` draws them, here by inversion;
+        `near` given, beta is alpha*(1 + near). Gains take any phases. phi
+        has |phi| <= 0.999 at any phase, or (th_phi None) the phase of
+        conj(h_d*conj(h_e)), where Re{h_d*conj(h_e)*phi} = |h_d*h_e*phi| and
+        c1 = alpha + beta - 2*Re{...} cancels most: at alpha ~ beta and
+        |phi| = 0.999, kappa (below) reaches about 2/0.001 = 2000.
+
+        Tolerance (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, ch. 2-3; u = 2**-53, gamma_k = k*u/(1 - k*u)), with N(t) =
+        c0 + c1*t evaluated on the float inputs:
+        - Re{h_d*conj(h_e)*phi} is a sum of four triple products, each
+          through at most 4 roundings (two products, two sums): within
+          gamma_4*R (R in `condition`).
+        - c1 = (alpha+beta) - 2*cross: within gamma_6*S1; c0 = 1 - |phi|^2,
+          |phi|^2 a sum of two squares: within gamma_3*S0. Both may cancel;
+          kappa(t) = A(t)/N(t) (`condition`) carries that.
+        - N(t) = c0 + c1*t, with t = mu*x rounded once: within gamma_9*A(t).
+          1 + beta*t has positive terms: within gamma_3 relative. The
+          division adds u, so each variance is within gamma_13*kappa(t)
+          relative (kappa >= 1).
+        - Their ratio adds u; its log is within
+          13*u*(kappa(mu*x) + kappa(x)) + u, which 0.5*log2 scales by
+          1/(2*ln 2). np.log2 is assumed within 2 ulps (4u relative) and the
+          reference rounds by half an ulp (u), so the bound is within
+          (13*(kappa_mu + kappa_one) + 1)*u/(2*ln 2) + 5*u*|bound|.
+        The factor 1.01 covers the second-order terms while 13*kappa*u is
+        below 1e-6, which the test asserts.
+        """
+        alpha, beta = -math.log1p(-ua), -math.log1p(-ub)
+        if near is not None:
+            beta = alpha * (1.0 + near)
+        h_d = math.sqrt(alpha) * complex(math.cos(th_d), math.sin(th_d))
+        h_e = math.sqrt(beta) * complex(math.cos(th_e), math.sin(th_e))
+        ch = ChannelRealization(1.0, h_d, h_e)
+        params = DerivedParams(abs(h_d) ** 2, abs(h_e) ** 2, mu)
+        th = th_e - th_d if th_phi is None else th_phi
+        phi = NoiseCorrelation(radius * complex(math.cos(th), math.sin(th)))
+        (v_mu, v_one), (n_mu, n_one), ref = reference(ch, params, phi, x)
+        k_mu = condition(ch, params, phi, mu * x, n_mu)
+        k_one = condition(ch, params, phi, x, n_one)
+        u = self.U
+        assert 13.0 * max(k_mu, k_one) * u < 1e-6
+        tol = 1.01 * ((13.0 * (k_mu + k_one) + 1.0) * u / (2.0 * math.log(2.0))
+                      + 5.0 * u * abs(ref))
+        assert abs(bound_objective(ch, params, x, phi) - ref) <= tol
+        var = lmmse_error_variance(ch, params, x, phi)
+        assert abs(var - v_mu) <= 1.01 * (13.0 * k_mu + 1.0) * u * v_mu
+
+
+class TestOverflowWitness:
+    """`secrelay compute --strategy af --alpha 1e300 --beta 1e299 --mu 2
+    --pr 1`: the bound once multiplied (1 + beta*x) by N(mu*x), which
+    overflowed to nan. Each variance is now bounded on its own."""
+
+    PARAMS = DerivedParams(1e300, 1e299, 2.0)
+    PB = PowerBudget(1.0, 1.0)
+    CAPACITY = 0.2578621607392264
+
+    def inputs(self):
+        ch = surrogate_channel(self.PARAMS)
+        return ch, select_phi(ch, self.PARAMS)
+
+    def test_grid_is_finite(self):
+        # RuntimeWarnings are errors in this suite, so an overflow fails here.
+        ch, phi = self.inputs()
+        xs = np.linspace(0.0, self.PB.p_r / self.PARAMS.mu, 200_001)
+        assert np.all(np.isfinite(bound_objective(ch, self.PARAMS, xs, phi)))
+
+    def test_bound_at_capacity_maximizer(self):
+        ch, phi = self.inputs()
+        res = af_secrecy_capacity(self.PARAMS, self.PB)
+        assert res.capacity == self.CAPACITY
+        assert abs(bound_objective(ch, self.PARAMS, res.x_hat, phi) - self.CAPACITY) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the peak, near x = 2.2e-300, lies inside the first grid cell (ROADMAP "
+        "item 1, stage 2: the grids); the bound reads 0.0"))
+    def test_genie_bound_finds_the_peak(self):
+        ch, _ = self.inputs()
+        bound = genie_upper_bound(ch, self.PARAMS, self.PB)
+        assert abs(bound.bound_value - self.CAPACITY) <= 1e-9
 
 
 class TestGainRatioIdentity:

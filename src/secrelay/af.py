@@ -86,10 +86,28 @@ def _inactive(active):
     return inactive if inactive.any() else None
 
 
-def _af_factors(alpha, beta, mu, consumed):
-    # f(x) - 1 = (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x) at
-    # x = consumed/mu, the first factor divided through by x.
-    return (alpha - beta) / (alpha + mu / consumed), (mu - 1) / (1 + beta * consumed)
+def _af_factors(alpha, beta, mu, excess, mu_excess, consumed):
+    # f(x) - 1 = (alpha-beta)*x/(1+alpha*x) * (mu-1)/(1+beta*mu*x) at x =
+    # consumed/mu, the first factor divided by x; excess and mu_excess are
+    # alpha - beta and mu - 1.
+    return excess / (alpha + mu / consumed), mu_excess / (1 + beta * consumed)
+
+
+def _af_excess(alpha, beta, mu, excess, mu_excess, consumed):
+    """f - 1 at consumed power `consumed`, the product of `_af_factors`.
+    Where alpha > beta the first factor lies in [0, 1] and the second in
+    [0, mu-1], so neither overflows. At extreme scales the first can still
+    leave the normal range; those lanes are redone exactly where secrecy is
+    possible, and one pass rules them out in the common case."""
+    gain, mu_gain = _af_factors(alpha, beta, mu, excess, mu_excess, consumed)
+    redo = None
+    if not np.minimum.reduce(gain, axis=None, initial=np.inf) >= _MIN_NORMAL:
+        redo = (consumed > 0.0) & ~(gain >= _MIN_NORMAL) & secrecy_possible(alpha, beta, mu)
+    gain *= mu_gain  # the product, in place
+    if redo is not None and redo.any():
+        gain = _exact_lanes(lambda a, b, m, c: math.prod(_af_factors(a, b, m, a - b, m - 1, c)),
+                            gain, redo, alpha, beta, mu, consumed)
+    return gain
 
 
 def af_saturation_budget(alpha, beta, mu):
@@ -138,21 +156,7 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
         # Consumed power mu*x_hat: the budget itself up to the saturation
         # budget, so consumed <= p_r holds exactly.
         consumed = np.minimum(p_r, saturation_budget)
-        # The two factors of _af_factors, multiplied. Where alpha > beta the
-        # first lies in [0, 1] and the second in [0, mu-1] (beta*mu*x_hat <
-        # sqrt(mu)), so neither overflows. At extreme scales the first can
-        # still leave the normal range; those lanes are redone exactly, and
-        # one pass rules them out in the common case.
-        gain = excess / (alpha + mu / consumed)
-        redo = None
-        if not np.minimum.reduce(gain, axis=None, initial=np.inf) >= _MIN_NORMAL:
-            redo = (consumed > 0.0) & ~(gain >= _MIN_NORMAL)
-            if inactive is not None:
-                redo = redo & ~inactive
-        gain *= mu_excess / (1 + beta * consumed)  # the product, in place
-        if redo is not None and np.any(redo):
-            gain = _exact_lanes(lambda *v: math.prod(_af_factors(*v)), gain, redo,
-                                alpha, beta, mu, consumed)
+        gain = _af_excess(alpha, beta, mu, excess, mu_excess, consumed)
         capacity = np.log1p(gain)
         capacity *= _HALF_LOG2_E
     return _zero_where(capacity, inactive), _zero_where(consumed, inactive)
@@ -167,14 +171,14 @@ def af_secrecy_capacity(params: DerivedParams, pb: PowerBudget) -> SecrecyResult
 
 def af_achievable_rate_at(params: DerivedParams, pb: PowerBudget, x: float) -> float:
     """Secrecy rate at a fixed feasible gain, before the positive-part clamp:
-    0.5*log2 of 1 plus the product of `_af_factors` at consumed power mu*x.
+    0.5*log2 of 1 plus `_af_excess` at consumed power mu*x.
 
     May be negative (alpha < beta); raises for x outside [0, P_r/mu].
     """
     x_max = gain_domain(Strategy.AF, params, pb)
     if not 0.0 <= x <= x_max:
         raise ValueError(f"gain x={x!r} outside the feasible domain [0, {x_max!r}]")
+    a, b, m = params.alpha, params.beta, params.mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain, mu_gain = _af_factors(params.alpha, params.beta, params.mu,
-                                    np.float64(params.mu * x))
-        return float(_HALF_LOG2_E * np.log1p(gain * mu_gain))
+        gain = _af_excess(a, b, m, a - b, m - 1, np.float64(m * x))
+        return float(_HALF_LOG2_E * np.log1p(gain))

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .af import _af_factors, af_saturation_budget
+from .af import _af_excess, _af_factors, af_saturation_budget
 from .channel import secrecy_possible
 
 __all__ = [
@@ -130,7 +130,7 @@ def eval_f(prob: RatioQuadraticProblem, x, out=None):
     alpha, beta, mu = prob.alpha, prob.beta, prob.mu
 
     def ratio(x):
-        gain, mu_gain = _af_factors(alpha, beta, mu, mu * x)
+        gain, mu_gain = _af_factors(alpha, beta, mu, alpha - beta, mu - 1.0, mu * x)
         return 1.0 + gain * mu_gain
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -154,7 +154,7 @@ def eval_F(prob: RatioQuadraticProblem, x, lam: float):
 
 def _F(prob: RatioQuadraticProblem, x, lam: float):
     alpha, beta, mu = prob.alpha, prob.beta, prob.mu
-    gain, mu_gain = _af_factors(alpha, beta, mu, mu * x)
+    gain, mu_gain = _af_factors(alpha, beta, mu, alpha - beta, mu - 1.0, mu * x)
     return (gain * mu_gain - (lam - 1.0)) * (1.0 + alpha * x) * (1.0 + beta * mu * x)
 
 
@@ -206,18 +206,22 @@ def lambda_hat_closed_form(prob: RatioQuadraticProblem) -> LambdaSolution:
 
     f rises up to the unconstrained peak 1/sqrt(a) and falls after it, so
     the maximizer is x_hat = min(x_max, 1/sqrt(a)) and the root of pi is
-    f(x_hat). The peak is `af_saturation_budget / mu`, which never forms
-    a (it may overflow). Degenerate inputs (alpha <= beta, mu = 1, or an
-    empty domain) collapse the bracket to a point; the ratio is then
-    maximized trivially at x = 0 with value 1.
+    f(x_hat): 1 plus the kernel's `af._af_excess` at consumed power mu*x_max
+    or `af_saturation_budget`, which forms neither a nor a subnormal x_hat.
+    Degenerate inputs (alpha <= beta, mu = 1, or an empty domain) collapse
+    the bracket to a point; the ratio is then maximized trivially at x = 0
+    with value 1.
     """
     if _is_degenerate(prob):
         return _DEGENERATE_SOLUTION
-    with np.errstate(divide="ignore", over="ignore"):  # inf at beta == 0 or past MAX
-        x_crit = float(af_saturation_budget(prob.alpha, prob.beta, prob.mu)) / prob.mu
-    if prob.x_max <= x_crit:
-        return LambdaSolution(eval_f(prob, prob.x_max), prob.x_max, SolverBranch.ENDPOINT)
-    return LambdaSolution(eval_f(prob, x_crit), x_crit, SolverBranch.INTERIOR)
+    alpha, beta, mu = prob.alpha, prob.beta, prob.mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf at beta == 0
+        saturation_budget = af_saturation_budget(alpha, beta, mu)
+        consumed = np.minimum(mu * prob.x_max, saturation_budget)
+        lam = 1.0 + float(_af_excess(alpha, beta, mu, alpha - beta, mu - 1.0, consumed))
+    if mu * prob.x_max <= saturation_budget:
+        return LambdaSolution(lam, prob.x_max, SolverBranch.ENDPOINT)
+    return LambdaSolution(lam, float(saturation_budget) / mu, SolverBranch.INTERIOR)
 
 
 def lambda_hat_bisection(prob: RatioQuadraticProblem) -> LambdaSolution:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_estimators import mutual_info_destination_mc, mutual_info_eavesdropper_mc
+from secrelay import af
 from secrelay.af import (
     af_achievable_rate_at,
     af_secrecy_capacity,
@@ -237,6 +238,35 @@ class TestAchievableRate:
         rate = af_achievable_rate_at(params, pb, x)
         assert (rate > 0.0) == (ratio < 1.0)
         assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
+
+    def test_rate_at_subnormal_peak_matches_capacity(self):
+        # The first factor of f - 1 is subnormal at this optimum, so the
+        # rate needs the kernel's exact fallback, as the capacity does.
+        params = DerivedParams(1.0327266203056355e+283, 6.287542798183648e+164,
+                               4.790368288204546e+174)
+        pb = PowerBudget(1.0, 1.0)
+        res = af_secrecy_capacity(params, pb)
+        assert res.x_hat < 1e-300
+        rate = af_achievable_rate_at(params, pb, res.x_hat)
+        assert rate == pytest.approx(res.capacity, rel=1e-12)
+        assert rate == pytest.approx(196.35170268807576, rel=1e-12)
+
+    def test_exact_fallback_stays_off_the_common_path(self, monkeypatch):
+        # The fallback runs only where a first factor leaves the normal range
+        # and secrecy is possible: never on verify-like draws (alpha <= beta
+        # included) nor on an oracle grid, whose eval_f has no fallback.
+        calls = []
+        monkeypatch.setattr(af, "_exact_lanes", lambda *args: calls.append(args))
+        rng = np.random.default_rng(207)
+        for _ in range(400):
+            params, pb = random_case(rng)
+            x_max = pb.p_r / params.mu
+            for x in (0.0, rng.uniform(0.0, x_max), x_max):
+                af_achievable_rate_at(params, pb, float(x))
+            lambda_hat_closed_form(RatioQuadraticProblem(params.alpha, params.beta, params.mu, x_max))
+        for alpha, beta in ((4.0, 1.0), (1.0, 4.0)):
+            grid_oracle(RatioQuadraticProblem(alpha, beta, 2.0, 0.25), 200_001)
+        assert calls == []
 
     def test_matches_oracle_value_shape(self):
         # Rate at x is half the log of the ratio the oracle maximizes.

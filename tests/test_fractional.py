@@ -43,6 +43,10 @@ WITNESS_F_OVERFLOW = (4.5298102794798065e+115, 1.1222126218349657e+84,
                       6.425342794754521e+102, 1.838697719893065e-150)
 WITNESS_PI_NAN = (2.426883077091397e+108, 3.699067753786442e+106,
                   9.14384646071273e+112, 4.0905987627857694e-122)
+# A problem whose peak 1/sqrt(alpha*beta*mu) = 5.67e-312 is subnormal: the
+# first factor of f - 1 at the peak's consumed power is subnormal too.
+WITNESS_SUBNORMAL_PEAK = (1.0327266203056355e+283, 6.287542798183648e+164,
+                          4.790368288204546e+174, 7.598562151282281e-20)
 
 
 def random_problem(rng, positive_rate=True):
@@ -297,6 +301,15 @@ class TestPiOfLambda:
             assert pi_of_lambda(prob, upper) == pytest.approx(1.0 - upper, rel=1e-9)
             assert pi_of_lambda(prob, upper) < 0.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "eval_F forms f - 1 before multiplying den in, and f - 1 underflows to 0 "
+        "where F is representable (ROADMAP item 1); pi(1) reads 0.0"))
+    def test_value_at_one_where_f_minus_one_underflows(self):
+        prob = RatioQuadraticProblem(1e150, 1e150 * (1.0 - 1e-12), 1.0 + 1e-15, 1e150 / (1.0 + 1e-15))
+        expected = (prob.alpha - prob.beta) * (prob.mu - 1.0) * prob.x_max
+        assert expected == pytest.approx(1.11e273, rel=1e-3)
+        assert pi_of_lambda(prob, 1.0) == pytest.approx(expected, rel=1e-12)
+
     def test_strictly_decreasing(self):
         rng = np.random.default_rng(14)
         for _ in range(N_DRAWS):
@@ -503,6 +516,39 @@ class TestBisectionRange:
         assert pi_of_lambda(prob, 1.0) == 4.0
         assert x_of_lambda(prob, 1.0) == prob.x_max
 
+
+class TestClosedFormAtAnyScale:
+    """The closed form takes f - 1 from the AF kernel's `af._af_excess`, with
+    its exact fallback, so it matches `af_batch` wherever x_max is normal."""
+
+    def test_subnormal_peak(self):
+        prob = RatioQuadraticProblem(*WITNESS_SUBNORMAL_PEAK)
+        sol = lambda_hat_closed_form(prob)
+        assert sol.branch is SolverBranch.INTERIOR
+        assert sol.lambda_hat == pytest.approx(1.6424963669495346e+118, rel=1e-15)
+        assert sol.lambda_hat == pytest.approx(lambda_hat_bisection(prob).lambda_hat, rel=1e-15)
+        capacity, _ = af_batch(prob.alpha, prob.beta, prob.mu, prob.mu * prob.x_max)
+        assert float(capacity) == pytest.approx(196.35170268807576, rel=1e-12)
+        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(float(capacity), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_solvers_match_kernel_at_exponents_300(self, seed):
+        # alpha >= beta, mu - 1 and p_r log-uniform over 1e+-300. Where x_max
+        # is subnormal or 0 the problem itself has lost p_r/mu, so those
+        # inputs are left out, as are capacities at or below 1e-6 bits,
+        # which 0.5*log2(lambda) cannot resolve relatively.
+        e = np.random.default_rng(seed).uniform(-300.0, 300.0, (1500, 4))
+        alpha, beta = 10.0 ** e[:, :2].max(axis=1), 10.0 ** e[:, :2].min(axis=1)
+        mu, p_r = 1.0 + 10.0 ** e[:, 2], 10.0 ** e[:, 3]
+        capacity, _ = af_batch(alpha, beta, mu, p_r)
+        x_max = p_r / mu
+        checked = np.flatnonzero((x_max >= sys.float_info.min) & (capacity > 1e-6))
+        assert checked.size > 300
+        for i in checked:
+            prob = RatioQuadraticProblem(alpha[i], beta[i], mu[i], x_max[i])
+            for solver in (lambda_hat_closed_form, lambda_hat_bisection):
+                lam = solver(prob).lambda_hat
+                assert 0.5 * math.log2(lam) == pytest.approx(capacity[i], rel=1e-9), (solver, prob)
 
 
 class TestGridOracle:

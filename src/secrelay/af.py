@@ -96,13 +96,18 @@ def _af_factors(alpha, beta, mu, excess, mu_excess, consumed):
 def _af_excess(alpha, beta, mu, excess, mu_excess, consumed):
     """f - 1 at consumed power `consumed`, the product of `_af_factors`.
     Where alpha > beta the first factor lies in [0, 1] and the second in
-    [0, mu-1], so neither overflows. At extreme scales the first can still
-    leave the normal range; those lanes are redone exactly where secrecy is
-    possible, and one pass rules them out in the common case."""
+    [0, mu-1], so neither overflows. At extreme scales either can still
+    leave the normal range: the first where mu/consumed overflows, the
+    second past the saturation budget, where 1 + beta*consumed overflows.
+    Those lanes are redone exactly where secrecy is possible and the
+    consumed power is finite and positive, and one pass per factor rules
+    them out in the common case."""
     gain, mu_gain = _af_factors(alpha, beta, mu, excess, mu_excess, consumed)
     redo = None
-    if not np.minimum.reduce(gain, axis=None, initial=np.inf) >= _MIN_NORMAL:
-        redo = (consumed > 0.0) & ~(gain >= _MIN_NORMAL) & secrecy_possible(alpha, beta, mu)
+    if not (np.minimum.reduce(gain, axis=None, initial=np.inf) >= _MIN_NORMAL
+            and np.minimum.reduce(mu_gain, axis=None, initial=np.inf) >= _MIN_NORMAL):
+        normal = (gain >= _MIN_NORMAL) & (mu_gain >= _MIN_NORMAL)
+        redo = (0.0 < consumed) & (consumed < np.inf) & ~normal & secrecy_possible(alpha, beta, mu)
     gain *= mu_gain  # the product, in place
     if redo is not None and redo.any():
         gain = _exact_lanes(lambda a, b, m, c: math.prod(_af_factors(a, b, m, a - b, m - 1, c)),

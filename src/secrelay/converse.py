@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, DerivedParams, PowerBudget
-from .fractional import _blockwise, maximize_on_interval
+from .fractional import _blockwise, _into, maximize_on_interval
 
 __all__ = [
     "PSDViolationError",
@@ -130,25 +130,35 @@ def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi, out=N
     Each variance lies between c0 and c1/beta and is formed on its own, so
     the ratio is finite wherever both variances are.
 
-    Accepts a scalar x, for which it returns a float, or a numpy array,
-    evaluated in cache-sized blocks into `out` (fresh unless given; it may
-    be `x` itself, as in numpy). Raises when either variance is not positive
-    (possible only at |phi| = 1).
+    Accepts a scalar x or a 0-d array, evaluated in Python floats (bit for
+    bit an array element) and returned as a float, or a numpy array,
+    evaluated in cache-sized blocks. The result goes into `out` if given (it
+    may be `x` itself, as in numpy). Raises when either variance is not
+    positive (possible only at |phi| = 1); a NaN variance does not raise.
     """
     phi = _as_correlation(phi)
     v = _conditional_variance(ch, params, phi)
     m = params.mu
 
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        x = float(x)
+        v_mu, v_one = v(m * x), v(x)
+        if v_one <= 0.0 or v_mu <= 0.0:
+            raise DegenerateDistributionError("conditional variance is not positive")
+        return _into(out, float(0.5 * np.log2(v_mu / v_one)))
+
     def value(x):
         v_mu = v(m * x)
         v_one = v(x)
-        # count_nonzero, unlike any(), is cheap on the bools of a scalar x.
-        if np.count_nonzero(v_one <= 0.0) or np.count_nonzero(v_mu <= 0.0):
+        # fmin skips NaN, so, as for a scalar, only a variance <= 0 raises.
+        if (np.fmin.reduce(v_one, axis=None, initial=np.inf) <= 0.0
+                or np.fmin.reduce(v_mu, axis=None, initial=np.inf) <= 0.0):
             raise DegenerateDistributionError("conditional variance is not positive")
-        return 0.5 * np.log2(v_mu / v_one)
+        v_mu /= v_one
+        np.log2(v_mu, out=v_mu)
+        v_mu *= 0.5
+        return v_mu
 
-    if np.isscalar(x):
-        return float(value(x))
     return _blockwise(value, x, out)
 
 

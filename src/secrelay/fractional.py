@@ -97,6 +97,15 @@ class LambdaSolution:
     branch: SolverBranch
 
 
+def _into(out, value):
+    """`value` written into `out` and `out` returned, or `value` itself when
+    `out` is None."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
 def _blockwise(fun, x, out=None):
     """`fun(x)` for an elementwise `fun`, evaluated `_BLOCK` points at a time.
 
@@ -105,14 +114,12 @@ def _blockwise(fun, x, out=None):
     every element gets the same operations as in one call, so the values
     are the same bit for bit. `out` is a fresh float array unless given; it
     may be `x` itself, since each slice is read before its result is
-    written. Scalars and short arrays go to `fun` whole, their result copied
-    into `out` if one is given.
+    written. `eval_f` and `bound_objective` pass arrays of one or more
+    dimensions; any other `x` or short array goes to `fun` whole, its
+    result written into `out` if one is given.
     """
     if not isinstance(x, np.ndarray) or x.ndim != 1 or x.size <= _BLOCK:
-        if out is None:
-            return fun(x)
-        out[...] = fun(x)
-        return out
+        return _into(out, fun(x))
     if out is None:
         out = np.empty(x.shape)
     for start in range(0, x.size, _BLOCK):
@@ -121,11 +128,12 @@ def _blockwise(fun, x, out=None):
 
 
 def eval_f(prob: RatioQuadraticProblem, x, out=None):
-    """f(x), 1 plus the product of `af._af_factors` at consumed power mu*x,
-    for a scalar x (as a float) or a numpy array.
+    """f(x), 1 plus the product of `af._af_factors` at consumed power mu*x.
 
-    At x = 0, mu/0 = inf makes the first factor 0, so f = 1 exactly. As in
-    numpy, `out` is an optional array for the result, which may be `x` itself.
+    A scalar or 0-d x is evaluated in Python floats, bit for bit an array
+    element, and returned as a float; f = 1 exactly at x = 0 (for an array,
+    mu/0 = inf makes the first factor 0). As in numpy, `out` is an optional
+    array for the result, which may be `x` itself.
     """
     alpha, beta, mu = prob.alpha, prob.beta, prob.mu
 
@@ -133,9 +141,16 @@ def eval_f(prob: RatioQuadraticProblem, x, out=None):
         gain, mu_gain = _af_factors(alpha, beta, mu, alpha - beta, mu - 1.0, mu * x)
         return 1.0 + gain * mu_gain
 
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        x = float(x)
+        try:
+            f = ratio(x) if x != 0.0 else 1.0
+        except ZeroDivisionError:  # numpy's inf or nan, e.g. alpha = 0 at mu*x = inf
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                f = float(ratio(np.float64(x)))
+        return _into(out, f)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = _blockwise(ratio, np.float64(x) if np.isscalar(x) else x, out)
-    return float(f) if np.isscalar(f) else f
+        return _blockwise(ratio, x, out)
 
 
 def eval_F(prob: RatioQuadraticProblem, x, lam: float):

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -250,6 +251,20 @@ class TestAchievableRate:
         rate = af_achievable_rate_at(params, pb, res.x_hat)
         assert rate == pytest.approx(res.capacity, rel=1e-12)
         assert rate == pytest.approx(196.35170268807576, rel=1e-12)
+
+    def test_rate_past_saturation_budget_is_not_zero(self):
+        # Here 1 + beta*mu*x overflows while the second factor of f - 1,
+        # (mu-1)/(1 + beta*mu*x) = 2.1e-146, is normal: the lane is redone
+        # exactly, as one whose first factor leaves the normal range.
+        params = DerivedParams(1.0327266203056355e+283, 6.287542798183648e+164,
+                               4.790368288204546e+174)
+        x = 7.598562151282281e-20
+        a, b, m, c = map(Fraction, (params.alpha, params.beta, params.mu, params.mu * x))
+        excess = (a - b) / (a + m / c) * (m - 1) / (1 + b * c)
+        rate = af_achievable_rate_at(params, PowerBudget(1.0, 1e156), x)
+        ref = math.log1p(float(excess)) / (2.0 * math.log(2.0))
+        assert rate == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert rate == pytest.approx(1.509844318176459e-146, rel=1e-14, abs=0.0)
 
     def test_exact_fallback_stays_off_the_common_path(self, monkeypatch):
         # The fallback runs only where a first factor leaves the normal range

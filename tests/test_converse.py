@@ -224,11 +224,20 @@ class TestBlockedBoundObjective:
     def test_scalar_and_size_one_types(self, monkeypatch):
         monkeypatch.setattr(fractional, "_BLOCK", 1)
         phi = complex(0.3, -0.5)
-        for x in (0.2, np.float64(0.2), 0):
+        for x in (0.2, np.float64(0.2), 0, np.array(0.2)):
             assert type(bound_objective(CH, PARAMS, x, phi)) is float
         one = bound_objective(CH, PARAMS, np.array([0.2]), phi)
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert one[0] == bound_objective(CH, PARAMS, 0.2, phi)
+        # A 0-d array is a scalar: written into a 0-d `out` in place.
+        buf = np.array(0.2)
+        assert bound_objective(CH, PARAMS, buf, phi, out=buf) is buf
+        assert buf[()] == one[0]
+        # NaN variances do not raise; a zero one does, at |phi| = 1 and x = 0.
+        for x in (np.nan, np.array(np.nan)):
+            assert math.isnan(bound_objective(CH, PARAMS, x, phi))
+        with pytest.raises(DegenerateDistributionError):
+            bound_objective(CH, PARAMS, np.array(0.0), 1.0)
 
     @pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 3])
     def test_output_over_input_matches_fresh_output(self, monkeypatch, n):
@@ -264,7 +273,8 @@ class TestBlockedBoundObjective:
             phi = random_phi(rng)
             xs = rng.uniform(0.0, 5.0, 7)
             vals = bound_objective(ch, params, xs, phi)
-            assert [bound_objective(ch, params, float(x), phi) for x in xs] == list(vals)
+            for scalar in (float, np.array):
+                assert [bound_objective(ch, params, scalar(x), phi) for x in xs] == list(vals)
 
     def test_degenerate_variance_in_last_block_raises(self, monkeypatch):
         # At phi = 1 both variances are proportional to x for this channel
@@ -277,6 +287,15 @@ class TestBlockedBoundObjective:
             bound_objective(CH, PARAMS, xs, 1.0)
         with pytest.raises(DegenerateDistributionError):
             bound_objective(CH, PARAMS, 0.0, 1.0)
+        # A NaN lane has NaN variances: it does not raise and stays NaN, and
+        # it does not hide the zero variance in its block, the last.
+        xs[-2] = np.nan
+        vals = bound_objective(CH, PARAMS, xs[:-1], 1.0)
+        assert np.isnan(vals[-1]) and np.all(np.isfinite(vals[:-1]))
+        with pytest.raises(DegenerateDistributionError):
+            bound_objective(CH, PARAMS, xs, 1.0)
+        empty = bound_objective(CH, PARAMS, np.empty(0), 1.0)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestGenieBound:

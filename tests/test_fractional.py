@@ -153,6 +153,41 @@ class TestBlockedEvaluation:
         one = eval_f(PROB_WIDE, np.array([0.3]))
         assert isinstance(one, np.ndarray) and one.shape == (1,)
         assert one[0] == eval_f(PROB_WIDE, 0.3)
+        # A 0-d array is a scalar: a float, or written into a 0-d `out`.
+        assert type(eval_f(PROB_WIDE, np.array(0.3))) is float
+        buf = np.array(0.3)
+        assert eval_f(PROB_WIDE, buf, out=buf) is buf
+        assert buf[()] == one[0]
+        for x in (0.0, -0.0, np.array(0.0)):
+            got = eval_f(PROB_WIDE, x)
+            assert type(got) is float and got == 1.0
+        for x in (np.nan, np.array(np.nan)):
+            assert math.isnan(eval_f(PROB_WIDE, x))
+
+    @pytest.mark.parametrize("prob", [PROB_WIDE, RatioQuadraticProblem(*WITNESS_SUBNORMAL_PEAK)])
+    def test_scalar_equals_array_element(self, prob):
+        xs = np.concatenate([np.linspace(0.0, prob.x_max, 101),
+                             prob.x_max * np.logspace(-320, 300, 63), [1e308, np.inf]])
+        vals = eval_f(prob, xs)
+        for x, val in zip(xs, vals):
+            for scalar in (float(x), np.float64(x), np.array(x)):
+                got = eval_f(prob, scalar)
+                assert type(got) is float
+                assert got == val or (math.isnan(got) and math.isnan(val))
+
+    # Off the domain, Python floats divide by 0 where numpy gives inf or nan:
+    # alpha = 0 at mu*x = inf, and alpha + mu/(mu*x) = 0 = 1 + beta*mu*x.
+    @pytest.mark.parametrize("prob, x", [
+        (RatioQuadraticProblem(0.0, 1.0, 2.0, 1.0), np.inf),
+        (RatioQuadraticProblem(0.0, 0.0, 2.0, 1.0), 1e308),
+        (RatioQuadraticProblem(1.0, 0.5, 2.0, 1.0), -1.0),
+    ])
+    def test_scalar_raises_no_zero_division(self, prob, x):
+        one = eval_f(prob, np.array([x]))
+        for scalar in (x, np.array(x)):
+            got = eval_f(prob, scalar)
+            assert type(got) is float
+            assert np.array_equal([got], one, equal_nan=True)
 
 
 class TestGridPoint:

@@ -30,7 +30,6 @@ from .converse import (
     NoiseCorrelation,
     PSDViolationError,
     bound_objective,
-    gain_ratio_identity_residual,
     genie_upper_bound,
     lmmse_error_variance,
     select_phi,
@@ -89,7 +88,6 @@ __all__ = [
     "eval_F",
     "eval_f",
     "gain_domain",
-    "gain_ratio_identity_residual",
     "genie_upper_bound",
     "grid_oracle",
     "lambda_hat_bisection",

@@ -8,10 +8,16 @@ t >= 0 (t = mu*x, or x for the noise alone; x = |omega|^2) that variance is
 v(t) = N(t)/(1 + beta*t): the joint covariance's determinant N(t) = c0 + c1*t
 is affine, c0 = 1 - |phi|^2, c1 = alpha + beta - 2*Re{h_d*conj(h_e)*phi}. A
 ratio of affine functions is monotone on t >= 0, so v lies between c0 and
-c1/beta, and it overflows no sooner than its terms c1*t and beta*t. A
-channel-dependent phi makes the bound coincide with the achievable log
-ratio, which certifies the closed-form capacity; phi is kept free so
-dominance can be probed at any admissible correlation.
+c1/beta. The bound is log1p of the excess v(mu*x)/v(x) - 1,
+
+    [k/(c0 + c1*x)] * [(mu-1)*x/(1 + beta*mu*x)],  k = c1 - beta*c0 = |h_d - conj(phi)*h_e|^2,
+
+nonnegative, with relative precision kept at small bounds, where a
+log-ratio near 1 has no correct digit. With p = c1/c0 and q = beta, its
+derivative in x has the sign of (mu-1)*(p - q)*(1 - p*q*mu*x^2), and
+p - q = k/c0 > 0: it rises, then falls, peaking at x* = 1/sqrt(p*q*mu). At
+`select_phi` it is the achievable rate, which certifies the closed-form
+capacity; phi is free so dominance can be probed at any admissible phi.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, DerivedParams, PowerBudget
+from .af import _HALF_LOG2_E
+from .channel import ChannelRealization, DerivedParams, PowerBudget, _abs2
 from .fractional import _blockwise, _into, maximize_on_interval
 
 __all__ = [
@@ -33,7 +40,6 @@ __all__ = [
     "select_phi",
     "bound_objective",
     "genie_upper_bound",
-    "gain_ratio_identity_residual",
 ]
 
 # Slack for |phi|^2 <= 1 so the boundary choices (|phi| exactly 1 up to
@@ -83,15 +89,14 @@ def _as_correlation(phi) -> NoiseCorrelation:
     return NoiseCorrelation(complex(phi))
 
 
-def _conditional_variance(ch: ChannelRealization, params: DerivedParams,
-                          phi: NoiseCorrelation):
-    """v(t) = (c0 + c1*t)/(1 + beta*t) (module docstring), c0 and c1 formed
-    once. For t >= 0 it has the sign of N(t)."""
-    c0 = 1.0 - phi.abs2
-    cross = (complex(ch.h_d) * complex(ch.h_e).conjugate() * complex(phi.phi)).real
+def _coefficients(ch: ChannelRealization, params: DerivedParams,
+                  phi: NoiseCorrelation) -> tuple[float, float, float]:
+    """(c0, c1, k) of the module docstring in Python floats; k is formed as
+    |h_d - conj(phi)*h_e|^2, never negative however c1 - beta*c0 cancels."""
+    z = complex(phi.phi)
+    cross = (complex(ch.h_d) * complex(ch.h_e).conjugate() * z).real
     c1 = params.alpha + params.beta - 2.0 * cross
-    b = params.beta
-    return lambda t: (c0 + c1 * t) / (1.0 + b * t)
+    return 1.0 - phi.abs2, c1, _abs2(complex(ch.h_d) - z.conjugate() * complex(ch.h_e))
 
 
 def lmmse_error_variance(ch: ChannelRealization, params: DerivedParams, x: float,
@@ -104,7 +109,9 @@ def lmmse_error_variance(ch: ChannelRealization, params: DerivedParams, x: float
     phi = _as_correlation(phi)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return max(_conditional_variance(ch, params, phi)(params.mu * x), 0.0)
+    c0, c1, _ = _coefficients(ch, params, phi)
+    t = params.mu * x
+    return max((c0 + c1 * t) / (1.0 + params.beta * t), 0.0)
 
 
 def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelation:
@@ -122,42 +129,45 @@ def select_phi(ch: ChannelRealization, params: DerivedParams) -> NoiseCorrelatio
 
 
 def bound_objective(ch: ChannelRealization, params: DerivedParams, x, phi, out=None):
-    """Conditional-mutual-information bound at gain x >= 0 and correlation phi:
-
-        0.5*log2[ v(mu*x) / v(x) ],   v(t) = N(t)/(1 + beta*t),
-
-    the LMMSE error variance over the noise-only one (module docstring).
-    Each variance lies between c0 and c1/beta and is formed on its own, so
-    the ratio is finite wherever both variances are.
+    """Conditional-mutual-information bound at gain x >= 0 and correlation phi,
+    0.5*log2[v(mu*x)/v(x)] = _HALF_LOG2_E*log1p(excess), the excess of the
+    module docstring: one formula for scalars and arrays.
 
     Accepts a scalar x or a 0-d array, evaluated in Python floats (bit for
     bit an array element) and returned as a float, or a numpy array,
     evaluated in cache-sized blocks. The result goes into `out` if given (it
-    may be `x` itself, as in numpy). Raises when either variance is not
-    positive (possible only at |phi| = 1); a NaN variance does not raise.
+    may be `x` itself, as in numpy). Raises `ValueError` for x < 0 and
+    `DegenerateDistributionError` where N(x) is not positive (possible only
+    at |phi| = 1; N(mu*x) >= N(x) then); a NaN x does not raise.
     """
     phi = _as_correlation(phi)
-    v = _conditional_variance(ch, params, phi)
-    m = params.mu
+    c0, c1, k = _coefficients(ch, params, phi)
+    b, m = params.beta, params.mu
+
+    def excess(x, den):
+        return k / den * ((m - 1.0) * x / (1.0 + b * (m * x)))
 
     if not isinstance(x, np.ndarray) or x.ndim == 0:
         x = float(x)
-        v_mu, v_one = v(m * x), v(x)
-        if v_one <= 0.0 or v_mu <= 0.0:
+        if x < 0.0:
+            raise ValueError("x must be nonnegative")
+        den = c0 + c1 * x
+        if den <= 0.0:
             raise DegenerateDistributionError("conditional variance is not positive")
-        return _into(out, float(0.5 * np.log2(v_mu / v_one)))
+        # np.log1p, not math.log1p, which differs from the array's by an ulp.
+        return _into(out, float(_HALF_LOG2_E * np.log1p(excess(x, den))))
 
     def value(x):
-        v_mu = v(m * x)
-        v_one = v(x)
-        # fmin skips NaN, so, as for a scalar, only a variance <= 0 raises.
-        if (np.fmin.reduce(v_one, axis=None, initial=np.inf) <= 0.0
-                or np.fmin.reduce(v_mu, axis=None, initial=np.inf) <= 0.0):
+        # fmin skips NaN, so, as for a scalar, a NaN x does not raise.
+        if np.fmin.reduce(x, axis=None, initial=np.inf) < 0.0:
+            raise ValueError("x must be nonnegative")
+        den = c0 + c1 * x
+        if np.fmin.reduce(den, axis=None, initial=np.inf) <= 0.0:
             raise DegenerateDistributionError("conditional variance is not positive")
-        v_mu /= v_one
-        np.log2(v_mu, out=v_mu)
-        v_mu *= 0.5
-        return v_mu
+        e = excess(x, den)
+        np.log1p(e, out=e)
+        e *= _HALF_LOG2_E
+        return e
 
     return _blockwise(value, x, out)
 
@@ -167,9 +177,10 @@ def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBu
     """Bound maximized over the feasible gain interval with phi from `select_phi`.
 
     When the eavesdropper link dominates (alpha <= beta) the objective is
-    identically zero for this phi, so 0 is returned directly; otherwise the
-    maximization reuses the brute-force grid-plus-golden-section engine so the
-    result stays independent of the parametric solver.
+    identically zero for this phi, so 0 is returned directly. Otherwise it is
+    the larger of a brute-force grid-plus-golden-section scan of [0, P_r/mu]
+    (independent of the parametric solver) and the objective at the peak x*
+    (module docstring) clamped to it, which a scan can miss in its first cell.
     """
     phi = select_phi(ch, params)
     if params.alpha <= params.beta:
@@ -178,35 +189,13 @@ def genie_upper_bound(ch: ChannelRealization, params: DerivedParams, pb: PowerBu
     x_arg, value = maximize_on_interval(
         lambda xs: bound_objective(ch, params, xs, phi, out=xs), x_max, n_points
     )
+    c0, c1, _ = _coefficients(ch, params, phi)
+    # x* (a 0-d array, as a section step is) with square roots factor by
+    # factor, so no product overflows; inf at beta = 0; fmin skips a NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_peak = np.array(np.fmin(
+            np.sqrt(c0) / np.sqrt(c1) / np.sqrt(params.beta) / np.sqrt(params.mu), x_max))
+    peak = bound_objective(ch, params, x_peak, phi)
+    if peak > value:
+        return BoundEvaluation(peak, float(x_peak), phi)
     return BoundEvaluation(value, x_arg, phi)
-
-
-def gain_ratio_identity_residual(params: DerivedParams, x: float) -> float:
-    """Absolute gap of the rewrite that collapses the bound onto the rate:
-
-        (1+alpha*mu*x)/(1+alpha*x) == (d+(alpha-beta)*mu*x) / (d+(alpha-beta)*x),
-        d = 1 - beta/alpha = (alpha-beta)/alpha.
-
-    Zero up to rounding whenever alpha > 0 and alpha != beta; relative to
-    the left side it is at most about 14u = 1.6e-15, u = 2**-53. The bound
-    follows Higham, Accuracy and Stability of Numerical Algorithms (2002),
-    ch. 2-3, with gamma_n = n*u/(1-n*u):
-    - d is formed as (alpha-beta)/alpha. alpha - beta is exact when
-      beta/alpha is in [1/2, 2] (Sterbenz's lemma) and within u otherwise,
-      so d is within gamma_2. Formed as 1 - beta/alpha, the subtraction is
-      exact but the rounding of beta/alpha is not cancelled: d would carry
-      relative error up to u*beta/|alpha-beta|, unbounded as beta -> alpha.
-    - Both terms of each sum have the sign of alpha - beta (on the left,
-      are positive), so no sum cancels, and each side is within gamma_8
-      (right) and gamma_6 (left) of the same exact value.
-    """
-    a, b, m = params.alpha, params.beta, params.mu
-    if a == 0.0:
-        raise ValueError("identity requires alpha > 0")
-    if a == b:
-        raise ValueError("identity requires alpha != beta")
-    lhs = (1.0 + a * m * x) / (1.0 + a * x)
-    gap = a - b
-    d = gap / a
-    rhs = (d + gap * m * x) / (d + gap * x)
-    return abs(lhs - rhs)

@@ -16,12 +16,7 @@ import numpy as np
 
 from .af import af_achievable_rate_at, af_secrecy_capacity
 from .channel import DerivedParams, PowerBudget, secrecy_possible, surrogate_channel
-from .converse import (
-    NoiseCorrelation,
-    bound_objective,
-    gain_ratio_identity_residual,
-    genie_upper_bound,
-)
+from .converse import NoiseCorrelation, bound_objective, genie_upper_bound, select_phi
 from .df import df_secrecy_capacity, second_hop_secrecy_capacity, source_relay_capacity
 from .fractional import (
     RatioQuadraticProblem,
@@ -174,23 +169,40 @@ def converse_tightness(draws: int, rng: np.random.Generator,
     )
 
 
-def ratio_identity(draws: int, rng: np.random.Generator) -> SuiteResult:
-    """Relative residual of the bound-collapsing algebraic identity."""
+def bound_collapse(draws: int, rng: np.random.Generator) -> SuiteResult:
+    """`bound_objective` at `select_phi` against `af_achievable_rate_at` at
+    random feasible gains, alpha > beta: the worst relative gap over phi's
+    conditioning kappa = alpha/(alpha-beta) = 1 + b'. The tolerance 28u,
+    u = 2**-53, is a first-order count (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 2-3) on the surrogate channel: phi =
+    sqrt(beta)/sqrt(alpha) is within 3u, |phi|^2 and the cross term within
+    7u, so c0, c1 and h_d - phi*h_e, which cancel to multiples of
+    alpha-beta, are within u + 7u*b', 2u + 16u*b' and 2u + 6u*b'; k within
+    5u + 12u*b', and k/(c0 + c1*x) within 10u + 28u*b' of
+    (alpha-beta)/(1 + alpha*x). The rate's first factor is within 5u of x
+    times that; the second factors share 1 + beta*(mu*x) and mu - 1 and
+    differ by 3u. Each side adds u (product), 2u (log1p, which changes
+    relatively no more than its argument) and u (scale): 26u + 28u*b'.
+    """
+    pb = PowerBudget(1.0, 200.0)  # x < 10 <= 200/mu: every x is feasible
     worst = 0.0
     count = 0
     while count < draws:
         a, b = rng.exponential(1.0, 2)
-        if a <= b or b == 0.0:
+        if a <= b:
             continue
         m = rng.uniform(1.0, 20.0)
         x = rng.uniform(0.0, 10.0)
         params = DerivedParams(a, b, m)
-        lhs = (1.0 + a * m * x) / (1.0 + a * x)
-        worst = _worst(worst, gain_ratio_identity_residual(params, x) / abs(lhs))
+        ch = surrogate_channel(params)
+        bound = bound_objective(ch, params, x, select_phi(ch, params))
+        rate = af_achievable_rate_at(params, pb, x)
+        # The rate is 0 only at x = 0 or mu = 1, where the bound must be 0.
+        rel = abs(bound - rate) / rate if rate else abs(bound)
+        worst = _worst(worst, rel * (a - b) / a)
         count += 1
-    return SuiteResult(
-        "ratio_identity", {"relative_residual": worst}, {"relative_residual": 1e-12}, count
-    )
+    return SuiteResult("bound_collapse", {"scaled_gap": worst}, {"scaled_gap": 28 * 2.0**-53},
+                       count)
 
 
 def df_properties(draws: int, rng: np.random.Generator) -> SuiteResult:
@@ -225,6 +237,6 @@ def run_all(draws: int = 1000, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
         solver_vs_oracle(draws, streams[0]),
         solver_consistency(draws, streams[1]),
         converse_tightness(draws, streams[2]),
-        ratio_identity(draws * 10, streams[3]),
+        bound_collapse(draws * 10, streams[3]),
         df_properties(draws, streams[4]),
     ]

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from mc_estimators import lmmse_error_variance_mc
 from secrelay import converse, fractional
-from secrelay.af import af_achievable_rate_at, af_secrecy_capacity
+from secrelay.af import af_achievable_rate_at, af_batch, af_secrecy_capacity
 from secrelay.channel import (
     ChannelRealization,
     DerivedParams,
@@ -22,7 +23,6 @@ from secrelay.converse import (
     NoiseCorrelation,
     PSDViolationError,
     bound_objective,
-    gain_ratio_identity_residual,
     genie_upper_bound,
     lmmse_error_variance,
     select_phi,
@@ -137,7 +137,8 @@ class TestConditionalEntropy:
             phi = random_phi(rng, r_max=1.0)
             x = rng.uniform(0.0, 5.0)
             # For t >= 0 the variance N(t)/(1 + beta*t) has the sign of N(t).
-            assert converse._conditional_variance(ch, params, phi)(x) >= -1e-12
+            c0, c1, _ = converse._coefficients(ch, params, phi)
+            assert c0 + c1 * x >= -1e-12
 
 
 class TestSelectPhi:
@@ -179,6 +180,20 @@ class TestBoundObjective:
             rate = af_achievable_rate_at(PARAMS, PB, float(x))
             assert bound_objective(CH, PARAMS, float(x), phi) == pytest.approx(rate, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b, m, x", [
+        (4.0, 1.0, 2.0, 0.7),
+        # The bound_collapse draw of `secrelay verify --draws 200 --seed
+        # 9468588589655178845`, beta/alpha = 1 - 1.4e-5.
+        (0.4360221745830397, 0.43601608942034314, 7.7961142380176405, 2.6291177168475297),
+    ], ids=["reference_point", "near_cancelling"])
+    def test_collapse_within_rounding_count(self, a, b, m, x):
+        # verify.bound_collapse's count: relative gap <= 28u*alpha/(alpha-beta).
+        params = DerivedParams(a, b, m)
+        ch = surrogate_channel(params)
+        rate = af_achievable_rate_at(params, PowerBudget(1.0, m * 10.0), x)
+        gap = abs(bound_objective(ch, params, x, select_phi(ch, params)) - rate)
+        assert gap <= 28 * 2.0**-53 * a / (a - b) * rate
+
     def test_weak_destination_identically_zero(self):
         ch = ChannelRealization(1.0, 1.0, 2.0)
         pb = PowerBudget(1.0, 4.0)
@@ -196,6 +211,14 @@ class TestBoundObjective:
             phi = random_phi(rng)
             rate = af_achievable_rate_at(params, pb, x)
             assert bound_objective(ch, params, x, phi) >= rate - 1e-9
+
+    @pytest.mark.parametrize("x", [-1.0, np.array(-1.0), np.array([0.5, -1.0])],
+                             ids=["float", "0-d", "1-d"])
+    def test_negative_gain_rejected(self, x):
+        # x = -1/beta: a scalar once divided by zero, an array warned and
+        # raised DegenerateDistributionError.
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            bound_objective(CH, PARAMS, x, 0.3)
 
     def test_vectorized_evaluation(self):
         xs = np.linspace(0.0, 0.25, 5)
@@ -322,27 +345,60 @@ class TestGenieBound:
             cap = af_secrecy_capacity(params, pb).capacity
             assert abs(bound.bound_value - cap) <= 1e-9
 
+    @pytest.mark.parametrize("n_points", [200_001, 1_000_000])
+    @pytest.mark.parametrize("p_r", [1e22, 1e25, 1e30])
+    def test_peak_inside_first_grid_cell(self, p_r, n_points):
+        # `compute --strategy af --alpha 2 --beta 1 --mu 3 --pr 1e22` once
+        # printed genie_bound 4.805e-16: the peak, near x = 0.41, lies in the
+        # first grid cell.
+        params = DerivedParams(2.0, 1.0, 3.0)
+        pb = PowerBudget(1.0, p_r)
+        bound = genie_upper_bound(surrogate_channel(params), params, pb, n_points=n_points)
+        assert abs(bound.bound_value - af_secrecy_capacity(params, pb).capacity) <= 1e-9
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(*[st.floats(-150.0, 150.0)] * 4)
+    def test_tight_at_every_scale(self, e_alpha, e_beta, e_mu, e_pr):
+        # alpha, beta, mu - 1 and p_r log-uniform over 1e-150..1e150: the
+        # bound equals `af_batch`'s capacity to 1e-9 relative, whether the
+        # peak is in the first grid cell, past the float spacing of a huge
+        # interval, or at x_max.
+        alpha, beta, mu, p_r = 10.0**e_alpha, 10.0**e_beta, 1.0 + 10.0**e_mu, 10.0**e_pr
+        params = DerivedParams(alpha, beta, mu)
+        pb = PowerBudget(1.0, p_r)
+        bound = genie_upper_bound(surrogate_channel(params), params, pb, n_points=200_001)
+        capacity = float(af_batch(alpha, beta, mu, p_r)[0])
+        assert abs(bound.bound_value - capacity) <= 1e-9 * capacity
+
 
 def reference(ch, params, phi, x):
     """(v(mu*x), v(x)), (N(mu*x), N(x)) and the bound 0.5*log2(v(mu*x)/v(x))
-    at 50 digits, from the determinant's definition
+    from the determinant's definition
     N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*t*Re{h_d*conj(h_e)*phi}
-    and v(t) = N(t)/(1 + beta*t), on the float inputs as given."""
+    and v(t) = N(t)/(1 + beta*t), on the float inputs as given: exact
+    rational arithmetic up to the excess e = v(mu*x)/v(x) - 1, so the bound
+    keeps its relative precision however small it is, and log1p(e) at 60
+    digits."""
+    p, q, r, s, f, g, a, b, m, x = (Fraction(float(v)) for v in (
+        ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag,
+        phi.phi.real, phi.phi.imag, params.alpha, params.beta, params.mu, x))
+    # h_d*conj(h_e) = (p*r + q*s) + i*(q*r - p*s)
+    cross = (p * r + q * s) * f - (q * r - p * s) * g
+
+    def n_v(t):
+        n = 1 + (a + b) * t - (f * f + g * g) - 2 * t * cross
+        return n, n / (1 + b * t)
+
+    (n_mu, v_mu), (n_one, v_one) = n_v(m * x), n_v(x)
+    e = v_mu / v_one - 1
     with localcontext() as ctx:
-        ctx.prec = 50
-        p, q, r, s, f, g, a, b, m, x = (Decimal(float(v)) for v in (
-            ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag,
-            phi.phi.real, phi.phi.imag, params.alpha, params.beta, params.mu, x))
-        # h_d*conj(h_e) = (p*r + q*s) + i*(q*r - p*s)
-        cross = (p * r + q * s) * f - (q * r - p * s) * g
-
-        def n_v(t):
-            n = 1 + (a + b) * t - (f * f + g * g) - 2 * t * cross
-            return n, n / (1 + b * t)
-
-        (n_mu, v_mu), (n_one, v_one) = n_v(m * x), n_v(x)
-        bound = (v_mu / v_one).ln() / (2 * Decimal(2).ln())
-        return (float(v_mu), float(v_one)), (float(n_mu), float(n_one)), float(bound)
+        ctx.prec = 60
+        d = Decimal(e.numerator) / e.denominator
+        # Below 1e-20 the series' next term, d^3/3, is under 1e-40*|d|;
+        # above, 1 + d at 60 digits keeps 40 digits of its log.
+        log1p = d - d * d / 2 if abs(d) < Decimal("1e-20") else (1 + d).ln()
+        bound = log1p / (2 * Decimal(2).ln())
+    return (float(v_mu), float(v_one)), (float(n_mu), float(n_one)), float(bound)
 
 
 def condition(ch, params, phi, t, n):
@@ -357,8 +413,24 @@ def condition(ch, params, phi, t, n):
     return (1.0 + phi.abs2 + s1 * t) / abs(n)
 
 
+def k_error_terms(ch, params, phi):
+    """(k, KB, KA, D) for the error of k = |d|^2, d = h_d - conj(phi)*h_e =
+    d_r + i*d_i: KB = |d_r|*B_r + |d_i|*B_i, with B_r = |p| + |f*r| + |g*s|
+    and B_i = |q| + |f*s| + |g*r| (the terms of each component in absolute
+    value), KA = alpha + |phi|^2*beta and D = |d_r| + |d_i|."""
+    p, q, r, s = ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag
+    f, g = phi.phi.real, phi.phi.imag
+    d = complex(ch.h_d) - complex(phi.phi).conjugate() * complex(ch.h_e)
+    kb = (abs(d.real) * (abs(p) + abs(f * r) + abs(g * s))
+          + abs(d.imag) * (abs(q) + abs(f * s) + abs(g * r)))
+    return (abs(d) ** 2, kb, params.alpha + phi.abs2 * params.beta,
+            abs(d.real) + abs(d.imag))
+
+
 class TestReference:
     U = 2.0**-53
+    TINY = 2.0**-1074  # the least subnormal; an underflow loses at most half
+    C = 0.5 / math.log(2.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -374,7 +446,8 @@ class TestReference:
     )
     def test_bound_and_variance_match_reference(self, ua, ub, near, th_d, th_e, radius,
                                                  th_phi, mu, x):
-        """`bound_objective` and `lmmse_error_variance` against `reference`.
+        """`bound_objective` and `lmmse_error_variance` against `reference`,
+        the bound relative to its own size at any scale.
 
         alpha and beta are Exp(1), as `verify` draws them, here by inversion;
         `near` given, beta is alpha*(1 + near). Gains take any phases. phi
@@ -384,25 +457,38 @@ class TestReference:
         |phi| = 0.999, kappa (below) reaches about 2/0.001 = 2000.
 
         Tolerance (Higham, Accuracy and Stability of Numerical Algorithms,
-        2002, ch. 2-3; u = 2**-53, gamma_k = k*u/(1 - k*u)), with N(t) =
-        c0 + c1*t evaluated on the float inputs:
-        - Re{h_d*conj(h_e)*phi} is a sum of four triple products, each
-          through at most 4 roundings (two products, two sums): within
-          gamma_4*R (R in `condition`).
-        - c1 = (alpha+beta) - 2*cross: within gamma_6*S1; c0 = 1 - |phi|^2,
-          |phi|^2 a sum of two squares: within gamma_3*S0. Both may cancel;
-          kappa(t) = A(t)/N(t) (`condition`) carries that.
-        - N(t) = c0 + c1*t, with t = mu*x rounded once: within gamma_9*A(t).
-          1 + beta*t has positive terms: within gamma_3 relative. The
-          division adds u, so each variance is within gamma_13*kappa(t)
-          relative (kappa >= 1).
-        - Their ratio adds u; its log is within
-          13*u*(kappa(mu*x) + kappa(x)) + u, which 0.5*log2 scales by
-          1/(2*ln 2). np.log2 is assumed within 2 ulps (4u relative) and the
-          reference rounds by half an ulp (u), so the bound is within
-          (13*(kappa_mu + kappa_one) + 1)*u/(2*ln 2) + 5*u*|bound|.
-        The factor 1.01 covers the second-order terms while 13*kappa*u is
-        below 1e-6, which the test asserts.
+        2002, ch. 2-3; u = 2**-53, gamma_k = k*u/(1 - k*u)), first order.
+        The bound is C*log1p(E), C = 1/(2 ln 2), with the excess
+        E = k*W, W = x*(mu-1)/((1 + beta*mu*x)*N(x)), formed as
+        [k/N(x)] * [(mu-1)*x/(1 + beta*mu*x)]. The reference's k is
+        c1 - beta*c0; the program's is |d|^2 (`k_error_terms`):
+        - alpha and beta are abs(h)**2 (hypot within an ulp, then a square):
+          within gamma_5 of |h_d|^2 and |h_e|^2, so |d|^2 differs from the
+          reference's k by at most 5u*KA. Each component of d has two
+          products and two sums, within gamma_3*B; the two squares and their
+          sum put k within 6u*KB + 2u*k.
+        - N(x) = c0 + c1*x: c0 within gamma_3*S0, c1 within gamma_6*S1 (its
+          cross term four triple products of 4 roundings, within
+          gamma_4*R), so with the product and the sum N(x) is within
+          gamma_8*A(x), 8u*kappa(x) relative (`condition`).
+        - k/N(x) adds u; the second factor's mu - 1, (mu-1)*x, mu*x,
+          beta*(mu*x), the sum and the division (all terms positive) 6u;
+          the factors' product u. log1p changes relatively no more than its
+          argument does, and is assumed within 2 ulps (4u); the scale adds
+          u, C's own rounding 2u, and the reference's rounding u.
+        So the bound is within C*u*(6*KB + 5*KA)*W + (8*kappa(x) + 18)*u*|ref|.
+        An underflowing result loses at most ETA = TINY/2. Underflow can
+        only happen in k's terms (inputs below about 1e-154), which leaves
+        k within (5 + 8*D)*ETA, in k/N(x), in (mu-1)*x and its quotient by
+        1 + beta*mu*x >= 1, in the factors' product, in log1p and in the
+        scale. With C < 1 and N(x) >= c0 > 0 the bound is then within
+        (((5 + 8*D)/N(x) + 1)*x*(mu-1) + 2*k/N(x) + 3)*ETA.
+        The variance v(mu*x) = N(t)/(1 + beta*t), t = mu*x rounded once: N(t)
+        within gamma_9*A(t), 1 + beta*t (positive terms) within gamma_3, and
+        the division u, so within 13u*kappa(t) relative, plus the reference's
+        u. The factor 1.01 covers the second-order terms while the
+        first-order counts stay below 1e-6 (relative to k for k's), which
+        the test asserts.
         """
         alpha, beta = -math.log1p(-ua), -math.log1p(-ub)
         if near is not None:
@@ -416,10 +502,15 @@ class TestReference:
         (v_mu, v_one), (n_mu, n_one), ref = reference(ch, params, phi, x)
         k_mu = condition(ch, params, phi, mu * x, n_mu)
         k_one = condition(ch, params, phi, x, n_one)
+        k, kb, ka, d = k_error_terms(ch, params, phi)
+        w = x * (mu - 1.0) / ((1.0 + params.beta * mu * x) * n_one)
         u = self.U
-        assert 13.0 * max(k_mu, k_one) * u < 1e-6
-        tol = 1.01 * ((13.0 * (k_mu + k_one) + 1.0) * u / (2.0 * math.log(2.0))
-                      + 5.0 * u * abs(ref))
+        assert (8.0 * k_one + 18.0) * u < 1e-6 and 13.0 * k_mu * u < 1e-6
+        assert (6.0 * kb + 5.0 * ka) * u <= 1e-6 * k
+        tol = 1.01 * (self.C * u * (6.0 * kb + 5.0 * ka) * w
+                      + (8.0 * k_one + 18.0) * u * abs(ref)
+                      + 0.5 * (((5.0 + 8.0 * d) / n_one + 1.0) * x * (mu - 1.0)
+                               + 2.0 * k / n_one + 3.0) * self.TINY)
         assert abs(bound_objective(ch, params, x, phi) - ref) <= tol
         var = lmmse_error_variance(ch, params, x, phi)
         assert abs(var - v_mu) <= 1.01 * (13.0 * k_mu + 1.0) * u * v_mu
@@ -450,49 +541,9 @@ class TestOverflowWitness:
         assert res.capacity == self.CAPACITY
         assert abs(bound_objective(ch, self.PARAMS, res.x_hat, phi) - self.CAPACITY) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the peak, near x = 2.2e-300, lies inside the first grid cell (ROADMAP "
-        "item 1, stage 2: the grids); the bound reads 0.0"))
     def test_genie_bound_finds_the_peak(self):
+        # The peak, near x = 2.2e-300, lies inside the first grid cell; the
+        # objective's own stationary point finds it.
         ch, _ = self.inputs()
         bound = genie_upper_bound(ch, self.PARAMS, self.PB)
         assert abs(bound.bound_value - self.CAPACITY) <= 1e-9
-
-
-class TestGainRatioIdentity:
-    def test_zero_at_origin(self):
-        assert gain_ratio_identity_residual(PARAMS, 0.0) == 0.0
-
-    def test_reference_point(self):
-        assert gain_ratio_identity_residual(PARAMS, 0.7) <= 1e-12
-
-    def test_mu_one(self):
-        assert gain_ratio_identity_residual(DerivedParams(4.0, 1.0, 1.0), 3.0) <= 1e-15
-
-    def test_near_cancellation_within_rounding_bound(self):
-        # The ratio_identity draw of `secrelay verify --draws 200 --seed
-        # 9468588589655178845`, beta/alpha = 1 - 1.4e-5. The docstring bounds
-        # the residual by about 14 units of 2**-53 relative to the left side.
-        a, b = 0.4360221745830397, 0.43601608942034314
-        m, x = 7.7961142380176405, 2.6291177168475297
-        lhs = (1.0 + a * m * x) / (1.0 + a * x)
-        assert gain_ratio_identity_residual(DerivedParams(a, b, m), x) <= 16 * 2.0**-53 * lhs
-
-    def test_random_draws(self):
-        rng = np.random.default_rng(46)
-        count = 0
-        while count < 500:
-            a, b = rng.exponential(1.0, 2)
-            if a <= b or b == 0.0:
-                continue
-            params = DerivedParams(a, b, rng.uniform(1.0, 20.0))
-            x = rng.uniform(0.0, 10.0)
-            lhs = (1.0 + a * params.mu * x) / (1.0 + a * x)
-            assert gain_ratio_identity_residual(params, x) <= 1e-12 * abs(lhs)
-            count += 1
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gain_ratio_identity_residual(DerivedParams(0.0, 0.0, 2.0), 1.0)
-        with pytest.raises(ValueError):
-            gain_ratio_identity_residual(DerivedParams(2.0, 2.0, 2.0), 1.0)

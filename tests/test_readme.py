@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from secrelay import cli
+from secrelay import cli, verify
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -44,6 +44,14 @@ def test_cli_example_exits_zero(line, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SECRELAY_SEED", raising=False)
     assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_verify_paragraph_names_the_suites():
+    # The paragraph above the `verify` example names each suite as the
+    # report prints it, so a renamed suite cannot leave it stale.
+    before = _section("CLI").split("```sh\nsecrelay verify", 1)[0]
+    paragraph = before.rstrip().rsplit("\n\n", 1)[1]
+    assert re.findall(r"`(\w+)`", paragraph) == [r.name for r in verify.run_all(draws=1)]
 
 
 def test_config_key_table_is_the_settings_table():

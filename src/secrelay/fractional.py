@@ -321,7 +321,7 @@ def maximize_on_interval(fun, x_max: float, n_points: int = 1_000_000,
             lo, c, fc, fd = c, d, fd, None
         if not hi - lo < span:
             break  # float spacing, not refine_tol, bounds the bracket here
-    x_star = 0.5 * (lo + hi)
+    x_star = 0.5 * lo + 0.5 * hi  # lo + hi overflows near x_max = MAX
     f_star = _scalar(x_star)
     # Keep the grid point only when refinement made things strictly worse
     # (impossible for a unimodal objective, cheap insurance otherwise). On a

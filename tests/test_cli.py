@@ -575,6 +575,14 @@ class TestVerify:
         assert not res.passed
         assert "no draw evaluated" in res.summary()
 
+    def test_suites_report_the_tolerance_table(self):
+        # No suite can report a residual or tolerance the table does not hold.
+        results = verify.run_all(draws=1)
+        assert [r.name for r in results] == list(verify.TOLERANCES)
+        for r in results:
+            assert list(r.tolerances.items()) == list(verify.TOLERANCES[r.name].items())
+            assert list(r.residuals) == list(r.tolerances)
+
     def test_fault_injection_trips_gate(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "df_properties", lambda draws, rng: SuiteResult(
             "df_properties", {"min_cut_gap": 1e-3}, {"min_cut_gap": 1e-12}, draws))
@@ -689,14 +697,20 @@ def _field(out, name):
     return float(next(line.split()[1] for line in out.splitlines() if line.startswith(name)))
 
 
-@pytest.mark.parametrize("beta, pr", [("0", "20000"), ("1e-9", "1e5")])
-def test_genie_bound_with_its_peak_above_float_tolerance(beta, pr):
-    # The genie bound's section search peaks near x = 1e4 and 2.2e4, where
-    # float spacing exceeds its 1e-12 tolerance.
-    done = run_in_child("compute", "--strategy", "af", "--alpha", "1", "--beta", beta,
-                        "--mu", "2", "--pr", pr)
+@pytest.mark.parametrize("alpha, beta, mu, pr", [
+    ("1", "0", "2", "20000"),
+    ("1", "1e-9", "2", "1e5"),
+    # The bracket ends near x_max = MAX: their sum overflowed, and the line read nan.
+    ("1e-300", "0", "1.0000000000000002", "1.7976931348623157e308"),
+], ids=["0-20000", "1e-9-1e5", "near_max"])
+def test_genie_bound_with_its_peak_above_float_tolerance(alpha, beta, mu, pr):
+    # The genie bound's section search peaks near x = 1e4, 2.2e4 and MAX,
+    # where float spacing exceeds its 1e-12 tolerance.
+    done = run_in_child("compute", "--strategy", "af", "--alpha", alpha, "--beta", beta,
+                        "--mu", mu, "--pr", pr)
     assert done.returncode == 0, done.stderr
-    assert abs(_field(done.stdout, "genie_bound") - _field(done.stdout, "capacity")) <= 1e-9
+    capacity = _field(done.stdout, "capacity")
+    assert abs(_field(done.stdout, "genie_bound") - capacity) <= 1e-9 * capacity
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -154,6 +154,22 @@ def af_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
     relative precision. `lanes`, if given, must be `af_lane_terms(alpha,
     beta, mu)`: a caller that evaluates the same lanes at several budgets
     computes it once. Without it the kernel computes it, with the same bits.
+
+    Every capacity is within 15 ulps of the exact one rounded to a float, by
+    a rounding count (Higham 2002, ch. 2-3; u = 2**-53, first order). Each
+    factor of `_af_factors` is within 4u: a difference, a sum of two
+    positive terms one of them rounded, a division. Where alpha +
+    mu/consumed is subnormal, that sum and alpha - beta are exact, but
+    mu/consumed >= 1/MAX loses up to 2**-1075, 4u of it, so the first
+    factor is within 5u. The product adds u. Past the saturation budget the
+    relay consumes that budget, where the excess is stationary, so the
+    budget's own rounding moves it only at second order. log1p's condition
+    number is at most 1 for an excess >= 0, and log1p is assumed within one
+    ulp (2u); the constant and the product by it add 2u. That is 14u
+    relative, under 14 ulps; a subnormal capacity loses at most half an ulp
+    more, and the float the exact value rounds to lies half an ulp away.
+    Lanes the exact fallback redoes start from a correctly rounded excess,
+    so they are closer.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         saturation_budget, excess, mu_excess, inactive = (

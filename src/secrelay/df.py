@@ -103,6 +103,19 @@ def df_batch(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p_r: float, *,
     `lanes`, if given, must be `df_lane_terms(alpha, beta, mu, ...)`: a
     caller that evaluates the same lanes at several budgets computes it
     once. Without it the kernel computes it, with the same bits.
+
+    Every capacity is within 11 ulps of the exact one rounded to a float, by
+    a rounding count (Higham 2002, ch. 2-3; u = 2**-53, first order). The
+    second-hop gain (alpha-beta)/(beta + 1/P_r) is within 6u: the
+    difference and the division add u each, and the sum of two positive
+    terms 2u, or, where it is subnormal and so exact, up to 4u from
+    1/P_r >= 1/MAX, which loses up to 2**-1075. log1p's condition number is
+    at most 1, log1p is assumed within one ulp (2u), and the constant and
+    the product by it add 2u: 10u relative, under 10 ulps, and half an ulp
+    more for a subnormal result. The first cut is log2's one ulp, halved
+    exactly. The smaller of two values is no further from the smaller exact
+    value than the larger of their errors, and the float the exact value
+    rounds to lies half an ulp away.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         balancing_gain, first, excess, inactive = (

@@ -1,6 +1,4 @@
 import math
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_estimators import mutual_info_destination_mc, mutual_info_eavesdropper_mc
+from reference import af_rate
 from secrelay import af
 from secrelay.af import (
     af_achievable_rate_at,
@@ -28,17 +27,6 @@ def random_case(rng):
         DerivedParams(rng.exponential(), rng.exponential(), rng.uniform(1.0, 20.0)),
         PowerBudget(1.0, rng.uniform(0.0, 50.0)),
     )
-
-
-def ref_rate(alpha, beta, mu, x):
-    """Half the difference of the two mutual informations,
-    0.5*log2((1+alpha*mu*x)/(1+alpha*x)) - 0.5*log2((1+beta*mu*x)/(1+beta*x)),
-    at 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a, b, m, x = (Decimal(float(v)) for v in (alpha, beta, mu, x))
-        diff = ((1 + a * m * x) / (1 + a * x)).ln() - ((1 + b * m * x) / (1 + b * x)).ln()
-        return float(diff / (2 * Decimal(2).ln()))
 
 
 def rate_ulps(mu):
@@ -216,28 +204,38 @@ class TestAchievableRate:
         # cancel to a difference 12 times smaller.
         params = DerivedParams(0.24452212710260135, 0.22347569875128315, 1.0000000000327498)
         pb, x = PowerBudget(1.0, 5.686827433004964e-05), 8.146604699728815e-06
-        ref = ref_rate(params.alpha, params.beta, params.mu, x)
+        ref = af_rate(params.alpha, params.beta, params.mu, x)
         assert ref == pytest.approx(4.0505e-18, rel=1e-4)
         rate = af_achievable_rate_at(params, pb, x)
         assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
 
-    # beta = alpha*ratio with |1 - ratio| >= 0.01 and x >= 1e-3*x_max keep the
-    # reference's 50-digit roundings below 1e-20 of the rate.
+    # beta = alpha*ratio, the ratio also within 1e-6 of 1, and x log-uniform
+    # down to 1e-12*x_max: the exact reference has no cancellation to avoid.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         st.floats(1e-2, 10.0),
-        st.one_of(st.floats(1e-2, 0.99), st.floats(1.01, 100.0)),
+        st.one_of(st.floats(1e-2, 100.0), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
         st.floats(-12.0, math.log10(20.0)),
         st.floats(-8.0, math.log10(50.0)),
-        st.floats(1e-3, 1.0),
+        st.floats(-12.0, 0.0),
     )
-    def test_rate_matches_reference(self, alpha, ratio, log10_mu_excess, log10_p_r, frac):
+    def test_rate_matches_reference(self, alpha, ratio, log10_mu_excess, log10_p_r, log10_frac):
         params = DerivedParams(alpha, alpha * ratio, 1.0 + 10.0**log10_mu_excess)
         pb = PowerBudget(1.0, 10.0**log10_p_r)
-        x = frac * (pb.p_r / params.mu)
-        ref = ref_rate(params.alpha, params.beta, params.mu, x)
+        x = 10.0**log10_frac * (pb.p_r / params.mu)
+        ref = af_rate(params.alpha, params.beta, params.mu, x)
         rate = af_achievable_rate_at(params, pb, x)
-        assert (rate > 0.0) == (ratio < 1.0)
+        assert (rate > 0.0) == (params.beta < params.alpha)
+        assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_af_excess redoes out-of-range lanes only where secrecy is possible: "
+        "for alpha < beta the first factor reads -0 once mu/consumed overflows"))
+    def test_negative_rate_at_subnormal_gain(self):
+        params, x = DerivedParams(4.927053682117321, 423.7296599174859, 2.0), 1.11253692926e-313
+        ref = af_rate(params.alpha, params.beta, params.mu, x)
+        assert ref == pytest.approx(-3.361e-311, rel=1e-3)
+        rate = af_achievable_rate_at(params, PowerBudget(1.0, 1.0), x)
         assert abs(rate - ref) <= rate_ulps(params.mu) * math.ulp(ref)
 
     def test_rate_at_subnormal_peak_matches_capacity(self):
@@ -259,10 +257,8 @@ class TestAchievableRate:
         params = DerivedParams(1.0327266203056355e+283, 6.287542798183648e+164,
                                4.790368288204546e+174)
         x = 7.598562151282281e-20
-        a, b, m, c = map(Fraction, (params.alpha, params.beta, params.mu, params.mu * x))
-        excess = (a - b) / (a + m / c) * (m - 1) / (1 + b * c)
         rate = af_achievable_rate_at(params, PowerBudget(1.0, 1e156), x)
-        ref = math.log1p(float(excess)) / (2.0 * math.log(2.0))
+        ref = af_rate(params.alpha, params.beta, params.mu, x)
         assert rate == pytest.approx(ref, rel=1e-14, abs=0.0)
         assert rate == pytest.approx(1.509844318176459e-146, rel=1e-14, abs=0.0)
 

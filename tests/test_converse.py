@@ -1,7 +1,5 @@
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_estimators import lmmse_error_variance_mc
+from reference import af_capacity, af_rate, genie
 from secrelay import converse, fractional, verify
-from secrelay.af import af_achievable_rate_at, af_batch, af_secrecy_capacity
+from secrelay.af import af_achievable_rate_at, af_secrecy_capacity
 from secrelay.channel import (
     ChannelRealization,
     DerivedParams,
@@ -357,45 +356,15 @@ class TestGenieBound:
     @given(*[st.floats(-150.0, 150.0)] * 4)
     def test_tight_at_every_scale(self, e_alpha, e_beta, e_mu, e_pr):
         # alpha, beta, mu - 1 and p_r log-uniform over 1e-150..1e150: the
-        # bound equals `af_batch`'s capacity to 1e-9 relative, whether the
+        # bound equals the exact capacity to 1e-9 relative, whether the
         # peak is in the first grid cell, past the float spacing of a huge
         # interval, or at x_max.
         alpha, beta, mu, p_r = 10.0**e_alpha, 10.0**e_beta, 1.0 + 10.0**e_mu, 10.0**e_pr
         params = DerivedParams(alpha, beta, mu)
         pb = PowerBudget(1.0, p_r)
         bound = genie_upper_bound(surrogate_channel(params), params, pb, n_points=200_001)
-        capacity = float(af_batch(alpha, beta, mu, p_r)[0])
+        capacity = af_capacity(alpha, beta, mu, p_r)
         assert abs(bound.bound_value - capacity) <= 1e-9 * capacity
-
-
-def reference(ch, params, phi, x):
-    """(v(mu*x), v(x)), (N(mu*x), N(x)) and the bound 0.5*log2(v(mu*x)/v(x))
-    from the determinant's definition
-    N(t) = 1 + (alpha+beta)*t - |phi|^2 - 2*t*Re{h_d*conj(h_e)*phi}
-    and v(t) = N(t)/(1 + beta*t), on the float inputs as given: exact
-    rational arithmetic up to the excess e = v(mu*x)/v(x) - 1, so the bound
-    keeps its relative precision however small it is, and log1p(e) at 60
-    digits."""
-    p, q, r, s, f, g, a, b, m, x = (Fraction(float(v)) for v in (
-        ch.h_d.real, ch.h_d.imag, ch.h_e.real, ch.h_e.imag,
-        phi.phi.real, phi.phi.imag, params.alpha, params.beta, params.mu, x))
-    # h_d*conj(h_e) = (p*r + q*s) + i*(q*r - p*s)
-    cross = (p * r + q * s) * f - (q * r - p * s) * g
-
-    def n_v(t):
-        n = 1 + (a + b) * t - (f * f + g * g) - 2 * t * cross
-        return n, n / (1 + b * t)
-
-    (n_mu, v_mu), (n_one, v_one) = n_v(m * x), n_v(x)
-    e = v_mu / v_one - 1
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(e.numerator) / e.denominator
-        # Below 1e-20 the series' next term, d^3/3, is under 1e-40*|d|;
-        # above, 1 + d at 60 digits keeps 40 digits of its log.
-        log1p = d - d * d / 2 if abs(d) < Decimal("1e-20") else (1 + d).ln()
-        bound = log1p / (2 * Decimal(2).ln())
-    return (float(v_mu), float(v_one)), (float(n_mu), float(n_one)), float(bound)
 
 
 def condition(ch, params, phi, t, n):
@@ -443,8 +412,8 @@ class TestReference:
     )
     def test_bound_and_variance_match_reference(self, ua, ub, near, th_d, th_e, radius,
                                                  th_phi, mu, x):
-        """`bound_objective` and `lmmse_error_variance` against `reference`,
-        the bound relative to its own size at any scale.
+        """`bound_objective` and `lmmse_error_variance` against
+        `reference.genie`, the bound relative to its own size at any scale.
 
         alpha and beta are Exp(1), as `verify` draws them, here by inversion;
         `near` given, beta is alpha*(1 + near). Gains take any phases. phi
@@ -496,7 +465,7 @@ class TestReference:
         params = DerivedParams(abs(h_d) ** 2, abs(h_e) ** 2, mu)
         th = th_e - th_d if th_phi is None else th_phi
         phi = NoiseCorrelation(radius * complex(math.cos(th), math.sin(th)))
-        (v_mu, v_one), (n_mu, n_one), ref = reference(ch, params, phi, x)
+        (v_mu, v_one), (n_mu, n_one), ref = genie(ch, params, phi, x)
         k_mu = condition(ch, params, phi, mu * x, n_mu)
         k_one = condition(ch, params, phi, x, n_one)
         k, kb, ka, d = k_error_terms(ch, params, phi)
@@ -560,13 +529,7 @@ class TestOverflowingDeterminant:
 
     def test_rate_is_exact(self):
         p = self.PARAMS
-        a, b, m, x = (Fraction(v) for v in (p.alpha, p.beta, p.mu, self.X))
-        e = (a - b) * x / (1 + a * x) * (m - 1) / (1 + b * m * x)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            d = Decimal(e.numerator) / e.denominator
-            exact = (1 + d).ln() / (2 * Decimal(2).ln())
-        assert float(exact) == self.RATE
+        assert af_rate(p.alpha, p.beta, p.mu, self.X) == self.RATE
         assert af_achievable_rate_at(self.PARAMS, self.PB, self.X) == self.RATE
 
     @pytest.mark.xfail(strict=True, reason=(

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import af_capacity
+from reference import pi_of_lambda as exact_pi_of_lambda
 from secrelay import fractional
-from secrelay.af import af_batch
 from secrelay.fractional import (
     LambdaSolution,
     RatioQuadraticProblem,
@@ -304,21 +305,13 @@ class TestPiOfLambda:
         assert abs(pi_of_lambda(PROB_SMALL, 1.25)) <= 1e-15
         assert lambda_hat_bisection(PROB_SMALL).lambda_hat == pytest.approx(1.25, abs=1e-12)
 
-    def test_matches_expanded_branch_formulas(self):
-        # Reference: pi written out per branch. Up to the threshold where
-        # dF/dx at x_max is 0, x_max maximizes F and pi is affine in lambda;
-        # past it the interior stationary point does, and pi = t^2/(4a(lambda-1))
-        # - lambda + 1 with t = lambda*d1 - n1.
+    def test_matches_exact_reference(self):
         rng = np.random.default_rng(12)
         for _ in range(N_DRAWS):
             prob = random_problem(rng)
             lam = rng.uniform(1.0, bracket_upper(prob))
-            (a, n1, d1), x = quadratics(prob), prob.x_max
-            if lam <= (2.0 * a * x + n1) / (2.0 * a * x + d1):
-                expected = (-a * x * x - d1 * x - 1.0) * lam + a * x * x + n1 * x + 1.0
-            else:
-                t = lam * d1 - n1
-                expected = t * t / (4.0 * a * (lam - 1.0)) - lam + 1.0
+            (a, n1, _), x = quadratics(prob), prob.x_max
+            expected = exact_pi_of_lambda(prob.alpha, prob.beta, prob.mu, x, lam)
             scale = 1.0 + a * x * x + n1 * x
             assert pi_of_lambda(prob, lam) == pytest.approx(expected, abs=1e-12 * scale)
 
@@ -389,9 +382,9 @@ class TestSolvers:
         prob = RatioQuadraticProblem(1.3775548425177469e+135, 6.315913602935973e+113, m,
                                      4.552877427674742e-56 / m)
         sol = lambda_hat_closed_form(prob)
-        capacity, _ = af_batch(prob.alpha, prob.beta, m, 4.552877427674742e-56)
+        capacity = af_capacity(prob.alpha, prob.beta, m, 4.552877427674742e-56)
         assert capacity == pytest.approx(35.44276820349234, rel=1e-15)
-        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(float(capacity), rel=1e-12)
+        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(capacity, rel=1e-12)
         assert sol.branch is SolverBranch.INTERIOR
 
     def test_degenerate_inputs(self):
@@ -554,7 +547,8 @@ class TestBisectionRange:
 
 class TestClosedFormAtAnyScale:
     """The closed form takes f - 1 from the AF kernel's `af._af_excess`, with
-    its exact fallback, so it matches `af_batch` wherever x_max is normal."""
+    its exact fallback, so it meets the exact capacity wherever x_max is
+    normal."""
 
     def test_subnormal_peak(self):
         prob = RatioQuadraticProblem(*WITNESS_SUBNORMAL_PEAK)
@@ -562,20 +556,20 @@ class TestClosedFormAtAnyScale:
         assert sol.branch is SolverBranch.INTERIOR
         assert sol.lambda_hat == pytest.approx(1.6424963669495346e+118, rel=1e-15)
         assert sol.lambda_hat == pytest.approx(lambda_hat_bisection(prob).lambda_hat, rel=1e-15)
-        capacity, _ = af_batch(prob.alpha, prob.beta, prob.mu, prob.mu * prob.x_max)
-        assert float(capacity) == pytest.approx(196.35170268807576, rel=1e-12)
-        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(float(capacity), rel=1e-12)
+        capacity = af_capacity(prob.alpha, prob.beta, prob.mu, prob.mu * prob.x_max)
+        assert capacity == pytest.approx(196.35170268807576, rel=1e-12)
+        assert 0.5 * math.log2(sol.lambda_hat) == pytest.approx(capacity, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_solvers_match_kernel_at_exponents_300(self, seed):
-        # alpha >= beta, mu - 1 and p_r log-uniform over 1e+-300. Where x_max
-        # is subnormal or 0 the problem itself has lost p_r/mu, so those
-        # inputs are left out, as are capacities at or below 1e-6 bits,
-        # which 0.5*log2(lambda) cannot resolve relatively.
+        # alpha >= beta, mu - 1 and p_r log-uniform over 1e+-300, against the
+        # exact capacity. Where x_max is subnormal or 0 the problem itself has
+        # lost p_r/mu, so those inputs are left out, as are capacities at or
+        # below 1e-6 bits, which 0.5*log2(lambda) cannot resolve relatively.
         e = np.random.default_rng(seed).uniform(-300.0, 300.0, (1500, 4))
         alpha, beta = 10.0 ** e[:, :2].max(axis=1), 10.0 ** e[:, :2].min(axis=1)
         mu, p_r = 1.0 + 10.0 ** e[:, 2], 10.0 ** e[:, 3]
-        capacity, _ = af_batch(alpha, beta, mu, p_r)
+        capacity = np.array([af_capacity(*case) for case in zip(alpha, beta, mu, p_r)])
         x_max = p_r / mu
         checked = np.flatnonzero((x_max >= sys.float_info.min) & (capacity > 1e-6))
         assert checked.size > 300

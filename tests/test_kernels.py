@@ -2,19 +2,19 @@
 
 `af.af_batch` and `df.df_batch` are the only capacity formulas; the scalar
 functions and the Monte Carlo sweep call them. The properties run over the
-full finite float range; the precision tests compare with a 50-digit
-`decimal` evaluation of the paper's formulas.
+full finite float range; the capacities are compared with the exact values
+of `reference`, within the ulp bounds the kernels' docstrings derive.
 """
 
 import math
 import sys
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import af_capacity, df_capacity, second_hop
 from secrelay import af, df, montecarlo
 from secrelay.af import af_batch, af_secrecy_capacity
 from secrelay.channel import DerivedParams, PowerBudget, Strategy
@@ -26,48 +26,28 @@ from secrelay.df import (
 from secrelay.fractional import RatioQuadraticProblem, lambda_hat_closed_form
 
 MAX = sys.float_info.max
-REL_TOL = 1e-14
+# The rounding counts of the `af_batch` and `df_batch` docstrings.
+AF_ULPS, DF_ULPS = 15, 11
 
 nonneg = st.floats(min_value=0.0, max_value=MAX, allow_nan=False, allow_infinity=False)
 mu_values = st.floats(min_value=1.0, max_value=MAX, allow_nan=False, allow_infinity=False)
 PROPERTY = settings(max_examples=1500, deadline=None, derandomize=True)
 
 
-def _decimals(*values):
-    return (Decimal(float(v)) for v in values)
+def check_capacities(case, c_af, c_df):
+    """Both capacities within their kernels' ulp bounds of the exact values,
+    so a capacity, however small, is checked to its last bits."""
+    for got, want, ulps in ((c_af, af_capacity(*case), AF_ULPS),
+                            (c_df, df_capacity(*case), DF_ULPS)):
+        assert abs(got - want) <= ulps * math.ulp(want), (case, got, want)
 
 
-def _ln1p(y):
-    # ln(1 + y) without forming 1 + y, which 50 digits cannot hold for tiny y.
-    return y - y * y / 2 + y ** 3 / 3 if y < Decimal("1e-12") else (1 + y).ln()
-
-
-def ref_af(alpha, beta, mu, p_r):
-    """0.5*log2 f(x_hat) from the quadratics themselves, at 50 digits.
-
-    f - 1 is (num - den)/den, where num - den = (n1 - d1)*x because the
-    quadratic and constant terms are shared.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a, b, m, p = _decimals(alpha, beta, mu, p_r)
-        if a <= b or m == 1 or p == 0:
-            return 0.0
-        x = p / m if b == 0 else min(p / m, 1 / (a * b * m).sqrt())
-        n1, d1 = a * m + b, a + b * m
-        den = a * b * m * x * x + d1 * x + 1
-        return float(_ln1p((n1 - d1) * x / den) / (2 * Decimal(2).ln()))
-
-
-def ref_df(alpha, beta, mu, p_r):
-    """Half the smaller cut, log2(mu) or log2((1+alpha*P_r)/(1+beta*P_r)), at 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a, b, m, p = _decimals(alpha, beta, mu, p_r)
-        if a <= b:
-            return 0.0
-        second = _ln1p((a * p - b * p) / (1 + b * p))
-        return float(min(m.ln(), second) / (2 * Decimal(2).ln()))
+def count_exact_lanes(monkeypatch, module):
+    """A list that grows by one on each call of `module._exact_lanes`, which
+    still does its work."""
+    exact, calls = module._exact_lanes, []
+    monkeypatch.setattr(module, "_exact_lanes", lambda *args: calls.append(1) or exact(*args))
+    return calls
 
 
 def within_ulps(lower, upper, ulps):
@@ -94,15 +74,22 @@ def check_invariants(alpha, beta, mu, p_r, c_af, con_af, c_df, con_df):
     assert c_df >= 0.0 and within_ulps(c_df, 0.5 * math.log2(mu), 1)
 
 
-@PROPERTY
-@given(nonneg, nonneg, mu_values, nonneg)
-def test_scalar_range_invariants(alpha, beta, mu, p_r):
-    params, pb = DerivedParams(alpha, beta, mu), PowerBudget(0.0, p_r)
-    a, d = af_secrecy_capacity(params, pb), df_secrecy_capacity(params, pb)
-    check_invariants(alpha, beta, mu, p_r, a.capacity, a.consumed_power,
-                     d.capacity, d.consumed_power)
-    assert 0.0 <= a.x_hat <= p_r / mu
-    assert d.x_hat == d.consumed_power
+def test_scalar_range_invariants(monkeypatch):
+    redone = count_exact_lanes(monkeypatch, af)
+
+    @PROPERTY
+    @given(nonneg, nonneg, mu_values, nonneg)
+    def check(alpha, beta, mu, p_r):
+        params, pb = DerivedParams(alpha, beta, mu), PowerBudget(0.0, p_r)
+        a, d = af_secrecy_capacity(params, pb), df_secrecy_capacity(params, pb)
+        check_invariants(alpha, beta, mu, p_r, a.capacity, a.consumed_power,
+                         d.capacity, d.consumed_power)
+        assert 0.0 <= a.x_hat <= p_r / mu
+        assert d.x_hat == d.consumed_power
+        check_capacities((alpha, beta, mu, p_r), a.capacity, d.capacity)
+
+    check()
+    assert redone  # the draws reach the AF kernel's exact fallback
 
 
 @PROPERTY
@@ -134,17 +121,7 @@ def test_overflow_regressions(case):
     params, pb = DerivedParams(*case[:3]), PowerBudget(0.0, case[3])
     a, d = af_secrecy_capacity(params, pb), df_secrecy_capacity(params, pb)
     check_invariants(*case, a.capacity, a.consumed_power, d.capacity, d.consumed_power)
-    assert a.capacity == pytest.approx(ref_af(*case), rel=REL_TOL, abs=1e-300)
-    assert d.capacity == pytest.approx(ref_df(*case), rel=REL_TOL, abs=1e-300)
-
-
-def ref_second_hop(alpha, beta, p_r):
-    """log2((1+alpha*P_r)/(1+beta*P_r)) clamped at zero, at 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a, b, p = _decimals(alpha, beta, p_r)
-        ratio = (1 + a * p) / (1 + b * p)
-        return 0.0 if ratio <= 1 else float(ratio.ln() / Decimal(2).ln())
+    check_capacities(case, a.capacity, d.capacity)
 
 
 @pytest.mark.parametrize("alpha, beta, p_r", [
@@ -163,7 +140,7 @@ def ref_second_hop(alpha, beta, p_r):
 def test_second_hop_cut_stays_finite(alpha, beta, p_r):
     got = second_hop_secrecy_capacity(DerivedParams(alpha, beta, 1.0), PowerBudget(0.0, p_r))
     assert math.isfinite(got)
-    assert got == pytest.approx(ref_second_hop(alpha, beta, p_r), rel=0.0, abs=1e-12)
+    assert got == pytest.approx(second_hop(alpha, beta, p_r), rel=0.0, abs=1e-12)
 
 
 def test_gains_at_huge_budget():
@@ -191,8 +168,7 @@ def test_small_capacities_keep_relative_precision(case):
     c_af = af_secrecy_capacity(params, pb).capacity
     c_df = df_secrecy_capacity(params, pb).capacity
     assert 0.0 < c_af < 1e-6
-    assert c_af == pytest.approx(ref_af(*case), rel=REL_TOL, abs=0.0)
-    assert c_df == pytest.approx(ref_df(*case), rel=REL_TOL, abs=0.0)
+    check_capacities(case, c_af, c_df)
 
 
 def test_random_draws_match_reference():
@@ -203,14 +179,12 @@ def test_random_draws_match_reference():
     for i in range(n):
         case = (alpha[i], beta[i], mu[i], p_r[i])
         params, pb = DerivedParams(*case[:3]), PowerBudget(0.0, case[3])
-        assert af_secrecy_capacity(params, pb).capacity == pytest.approx(
-            ref_af(*case), rel=REL_TOL, abs=0.0)
-        assert df_secrecy_capacity(params, pb).capacity == pytest.approx(
-            ref_df(*case), rel=REL_TOL, abs=0.0)
+        check_capacities(case, af_secrecy_capacity(params, pb).capacity,
+                         df_secrecy_capacity(params, pb).capacity)
         if alpha[i] > beta[i] and p_r[i] > 0.0:
             prob = RatioQuadraticProblem(*case[:3], p_r[i] / mu[i])
             lam = lambda_hat_closed_form(prob).lambda_hat
-            assert lam == pytest.approx(2.0 ** (2.0 * ref_af(*case)), rel=REL_TOL)
+            assert lam == pytest.approx(2.0 ** (2.0 * af_capacity(*case)), rel=1e-14)
 
 
 def test_consumed_never_exceeds_budget_exactly():
@@ -442,9 +416,7 @@ def assert_terms_change_no_bit(kernel, alpha, beta, mu, p_r):
 
 @pytest.mark.parametrize("kernel, module", [(af_batch, af), (df_batch, df)])
 def test_given_terms_change_no_bit_on_lanes(monkeypatch, kernel, module):
-    exact = module._exact_lanes
-    redone = []
-    monkeypatch.setattr(module, "_exact_lanes", lambda *a: redone.append(1) or exact(*a))
+    redone = count_exact_lanes(monkeypatch, module)
     alpha, beta, mu = _kernel_lanes()
     for p_r in _lane_budgets(alpha, beta, mu):
         assert_terms_change_no_bit(kernel, alpha, beta, mu, p_r)
